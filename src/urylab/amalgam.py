@@ -190,12 +190,22 @@ def katetov_extend(space: FiniteMetricSpace, on: Sequence[int],
         raise PreconditionError(
             f"not a one-point prescription on ({space.labels[a]!r}, "
             f"{space.labels[b]!r}): {msg}")
+    return _katetov_fill(space, vals)
+
+
+def _katetov_fill(space: FiniteMetricSpace,
+                  vals: Mapping[int, Fraction]) -> KatetovFunction:
+    """Shortest-path completion of a prescription already known to be valid.
+
+    The caller vouches for the pair inequalities on the support; nothing is
+    re-checked here.
+    """
     full = []
     for w in range(space.n):
         if w in vals:
             full.append(vals[w])
         else:
-            full.append(min(vals[a] + space.d(a, w) for a in on))
+            full.append(min(vals[a] + space.d(a, w) for a in vals))
     return KatetovFunction(space, tuple(full))
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .amalgam import katetov_extend, realize_point
+from .amalgam import _katetov_fill, katetov_extend, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
                    Rational, goodness_check, lip_details, map_in_ball, rat)
-from .errors import InfeasibleError, PreconditionError
+from .errors import DegenerateInputError, InfeasibleError, PreconditionError
 
 ChoicePolicy = str  # 'midpoint' | 'minimal' | 'maximal'
 
@@ -153,7 +153,9 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
     ys = [q for _, q in pairs]
     dv = [space.d(x, xi) for xi in xs]    # d_m = d(x, x_m)
     sv = [space.d(x, yi) for yi in ys]    # s_m = d(x, y_m)
+    Kd = [K * d for d in dv]              # K*d_m
     cap_d = (r - dv[0]) / N               # (r - d_1)/N, fixed for the run
+    cap_e = None                          # (r - e_1)/N, set once e_1 is chosen
     e: list[Fraction] = []
     records: list[SolveRecord] = []
     for m in range(n):
@@ -161,14 +163,14 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
         uppers: list[tuple[str, Fraction]] = []
         for j in range(m + 1, n):
             emj = space.d(ys[m], ys[j])
-            lowers.append(("IE1", emj - K * dv[j]))
-            uppers.append(("IE1", emj + K * dv[j]))
+            lowers.append(("IE1", emj - Kd[j]))
+            uppers.append(("IE1", emj + Kd[j]))
         for l in range(m):
             eml = space.d(ys[m], ys[l])
             lowers.append(("IE2", abs(eml - e[l])))
             uppers.append(("IE2", eml + e[l]))
         lowers.append(("IE3", dv[m] / K))
-        uppers.append(("IE3", K * dv[m]))
+        uppers.append(("IE3", Kd[m]))
         lowers.append(("IE4", sv[m] - cap_d))
         uppers.append(("IE4", sv[m] + cap_d))
         if m == 0:
@@ -177,9 +179,8 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
             uppers.append(("IE5", (N * dv[0] + r) / (N + 1)))
             for i in range(1, n):
                 uppers.append(("IE6", N * (sv[i] - dv[i] / K) + r))
-                uppers.append(("IE7", N * (K * dv[i] - sv[i]) + r))
+                uppers.append(("IE7", N * (Kd[i] - sv[i]) + r))
         else:
-            cap_e = (r - e[0]) / N
             lowers.append(("IE5", sv[m] - cap_e))
             uppers.append(("IE5", sv[m] + cap_e))
         lo_family, lo = lowers[0]
@@ -205,12 +206,18 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
         records.append(SolveRecord(m + 1, tuple(lowers), tuple(uppers),
                                    lo, hi, lo_family, hi_family, chosen))
         e.append(chosen)
-    cap_e = (r - e[0]) / N
+        if m == 0:
+            cap_e = (r - chosen) / N
     s = min(min(e[i] + sv[i] for i in range(n)), cap_d, cap_e)
     # The new pair's goodness margin caps |e_m - s_m| exactly.
     assert all(abs(e[m] - sv[m]) <= min(cap_d, cap_e) for m in range(n))
-    assert e[0] < r
     return e, s, records
+
+
+def _require_inside(ball: Ball, space: FiniteMetricSpace, x: int) -> None:
+    if not ball.strictly_inside(space, x):
+        raise PreconditionError(
+            f"new point {space.labels[x]!r} not strictly inside the ball")
 
 
 def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
@@ -225,6 +232,7 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
     inside the ball.  If x is already on the requested side the call is a
     no-op.  The new partner point is realized through a Katetov prescription
     carrying the solved distances, so the workspace grows by one point.
+    The input map is certified in full (O(n^2)) before anything is solved.
     """
     if side not in ("domain", "range"):
         raise PreconditionError(f"side must be 'domain' or 'range', got {side!r}")
@@ -235,31 +243,84 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
     center = ball.center
     if center not in work.domain or work.image_of(center) != center:
         raise PreconditionError("map must fix the ball center")
-    if not ball.strictly_inside(space, x):
-        raise PreconditionError(
-            f"new point {space.labels[x]!r} not strictly inside the ball")
+    _require_inside(ball, space, x)
     cert = is_compliant(work, ball, kn, space)
     if not cert.ok:
         raise PreconditionError(
             "map is not (K, N)-compliant on input: "
             + ("stretch" if not cert.lip_ok else "goodness") + " bound fails")
+    return _extend_step(f, ball, kn, x, side, space, policy, label, forced)
+
+
+def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
+                     pairs: Sequence[tuple[int, int]], x: int,
+                     e: Sequence[Fraction], s: Fraction,
+                     label: Optional[str]) -> None:
+    """Exact O(n) proof that the new pair (x, y) keeps the map compliant.
+
+    y is the point to be realized at distance e_m from y_m and s from x.
+    Checked: the stretch of every new pair, the Katetov inequalities between
+    x and each y_m, goodness of the new pair, and y inside the ball.  The
+    Katetov inequalities between two range points are the IE2 bounds, which
+    the solver's interval test has already enforced exactly.  Together with
+    the certificate of the input map this certifies the extended map.
+    """
+    K, N, r = kn.K, kn.N, ball.radius
+    labels = space.labels
+    d1 = space.d(x, ball.center)
+    for (xm, ym), em in zip(pairs, e):
+        dm, sm = space.d(x, xm), space.d(x, ym)
+        if dm == 0:
+            raise DegenerateInputError(
+                f"domain points {labels[xm]!r}, {labels[x]!r} at distance 0")
+        if em == 0:
+            raise DegenerateInputError(
+                f"image points {labels[ym]!r}, "
+                f"{label or space.fresh_label()!r} at distance 0")
+        if em > K * dm or dm > K * em:
+            raise PreconditionError(
+                f"new pair breaks the stretch bound against {labels[xm]!r}: "
+                f"d = {dm}, e = {em}, K = {K}")
+        # When x already lies in the range this forces e_m = s at y_m = x.
+        if abs(s - em) > sm or sm > s + em:
+            raise PreconditionError(
+                f"not a one-point prescription on ({labels[ym]!r}, "
+                f"{labels[x]!r}): e = {em}, s = {s}, d = {sm}")
+    if N * s > r - d1 or N * s > r - e[0]:
+        raise PreconditionError(f"new pair at distance {s} is not {N}-good")
+    if not e[0] < r:
+        raise PreconditionError(
+            f"new point at distance {e[0]} from the center leaves the ball")
+
+
+def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
+                 space: FiniteMetricSpace, policy: ChoicePolicy = "midpoint",
+                 label: Optional[str] = None,
+                 forced: Optional[Sequence[Fraction]] = None,
+                 ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
+    """``extend_one_point`` for a map already certified compliant.
+
+    The caller vouches that f fixes the center and is (K, N)-compliant with
+    admissible (K, N), as ``extend_one_point`` checks.  Only the new row is
+    proved, by :func:`_certify_new_row`, so the output is certified too and
+    a run of steps needs a single full certificate, of its first map.
+    """
+    _require_inside(ball, space, x)
+    work = f if side == "domain" else f.inverse()
     if x in work.domain:
         step = ExtensionStep(side, x, space.labels[x], True, (), None, None,
                              None, None, None)
         return f, space, step
 
+    center = ball.center
     pairs = [(center, center)] + [p for p in work.pairs() if p[0] != center]
     e, s, records = _solve_new_distances(space, ball, kn, pairs, x, policy,
                                          forced)
-    values: dict[int, Fraction] = {}
-    for (xi, yi), ei in zip(pairs, e):
-        values[yi] = ei
-    if x in values:
-        # x already sits in the range; the solved system forces d(x, y) = s.
-        assert values[x] == s
+    _certify_new_row(space, ball, kn, pairs, x, e, s, label)
+    values: dict[int, Fraction] = {yi: ei for (_, yi), ei in zip(pairs, e)}
     values[x] = s
-    g = katetov_extend(space, sorted(values), values)
-    grown, y = realize_point(space, g, label=label, validate=False)
+    grown, y = realize_point(space, _katetov_fill(space, values), label=label,
+                             validate=False)
 
     new_work = work.extended(x, y)
     new_map = new_work if side == "domain" else new_work.inverse()
@@ -280,16 +341,17 @@ def extend_dense(f: PartialMap, ball: Ball, kn: KNParams,
 
     Each target enters the domain first, then the range; every intermediate
     map stays (K, N)-compliant.  For targets forming a fine net this is the
-    desk-scale form of extending over a totally bounded set.
+    desk-scale form of extending over a totally bounded set.  The seed map
+    is certified in full once, by the first step; every later step proves
+    only its new row.
     """
     trace = ExtensionTrace()
+    extend = extend_one_point
     for x in targets:
-        f, space, step = extend_one_point(f, ball, kn, x, "domain", space,
-                                          policy)
-        trace.steps.append(step)
-        f, space, step = extend_one_point(f, ball, kn, x, "range", space,
-                                          policy)
-        trace.steps.append(step)
+        for side in ("domain", "range"):
+            f, space, step = extend(f, ball, kn, x, side, space, policy)
+            trace.steps.append(step)
+            extend = _extend_step
     return f, space, trace
 
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from . import gen, io
 from .amalgam import amalgamate
-from .bilip import (Ball, extend_dense, extend_one_point, is_compliant,
-                    kn_admissible)
+from .bilip import (Ball, _extend_step, extend_dense, extend_one_point,
+                    is_compliant, kn_admissible)
 from .core import FiniteMetricSpace, PartialMap, validate_space
 from .errors import (InfeasibleError, ParseError, PreconditionError,
                      StructuralError)
@@ -37,7 +37,10 @@ def _read(path: str) -> str:
 
 def _emit(report: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(report)
+        try:
+            Path(out).write_text(report)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from None
     sys.stdout.write(report)
 
 
@@ -110,9 +113,12 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
 
     Recorded e-values are used as the choices, so any policy-consistent
     trace is accepted; every interval, chosen value, pair distance, and
-    realized label must match the recomputation exactly.
+    realized label must match the recomputation exactly.  The input map is
+    certified in full by the first replayed step; each later step proves
+    only its new row.
     """
     idx = 0
+    extend = extend_one_point
     for x in targets:
         for side in ("domain", "range"):
             work = fmap if side == "domain" else fmap.inverse()
@@ -123,11 +129,12 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
             if len(chunk) < count:
                 return False, f"trace truncated at line {idx + len(chunk) + 1}"
             try:
-                fmap, space, step = extend_one_point(
+                fmap, space, step = extend(
                     fmap, ball, kn, x, side, space,
                     forced=[ln.e for ln in chunk])
             except (InfeasibleError, PreconditionError) as exc:
                 return False, str(exc)
+            extend = _extend_step
             tag = "d" if side == "domain" else "r"
             for rec, ln in zip(step.solves, chunk):
                 got = (rec.m, tag, rec.lo, rec.hi, rec.chosen, step.s,

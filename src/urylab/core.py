@@ -6,7 +6,6 @@ in this module, so every axiom check is a zero-tolerance assertion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -258,13 +257,6 @@ class GoodnessReport:
     forward_witness: Optional[int]
     backward_witness: Optional[int]
 
-    @property
-    def slack(self) -> Optional[Fraction]:
-        sides = [s for s in (self.forward_slack, self.backward_slack)
-                 if s is not None]
-        return min(sides) if sides else None
-
-
 def _one_sided_slack(pairs, ball: Ball, n_param: Fraction,
                      space: FiniteMetricSpace):
     best: Optional[Fraction] = None
@@ -294,6 +286,3 @@ def goodness_check(f: PartialMap, ball: Ball, n_param: Rational,
     ok = (fwd is None or fwd >= 0) and (bwd is None or bwd >= 0)
     return GoodnessReport(ok, fwd, bwd, fwd_w, bwd_w)
 
-
-def floor_fraction(x: Fraction) -> int:
-    return math.floor(x)

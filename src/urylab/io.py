@@ -23,6 +23,16 @@ def parse_rational(token: str) -> Fraction:
         raise ParseError(f"bad rational {token!r}: {exc}") from None
 
 
+def _natural(token: str) -> Optional[int]:
+    """The value of a token of ASCII digits, or None for any other token."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -39,9 +49,9 @@ def parse_space(text: str) -> FiniteMetricSpace:
     for lineno, toks in _lines(text):
         key = toks[0]
         if key == "points":
-            if len(toks) != 2 or not toks[1].isdigit():
+            n = _natural(toks[1]) if len(toks) == 2 else None
+            if n is None:
                 raise ParseError(f"line {lineno}: expected 'points <n>'")
-            n = int(toks[1])
         elif key == "labels":
             labels = tuple(toks[1:])
         elif key == "row":
@@ -152,6 +162,9 @@ def parse_trace(text: str) -> list[TraceLine]:
     for lineno, toks in _lines(text):
         if toks[0] != "step" or len(toks) != 7:
             raise ParseError(f"line {lineno}: expected a 7-field 'step' line")
+        m = _natural(toks[1])
+        if m is None:
+            raise ParseError(f"line {lineno}: bad step index {toks[1]!r}")
         fields = {}
         for tok in toks[2:]:
             if "=" not in tok:
@@ -162,9 +175,12 @@ def parse_trace(text: str) -> list[TraceLine]:
             interval = fields["interval"]
             if not (interval.startswith("[") and interval.endswith("]")):
                 raise ParseError(f"line {lineno}: bad interval {interval!r}")
-            lo_s, hi_s = interval[1:-1].split(",")
+            ends = interval[1:-1].split(",")
+            if len(ends) != 2:
+                raise ParseError(f"line {lineno}: bad interval {interval!r}")
+            lo_s, hi_s = ends
             lines.append(TraceLine(
-                m=int(toks[1]),
+                m=m,
                 side=fields["side"],
                 lo=parse_rational(lo_s),
                 hi=parse_rational(hi_s),

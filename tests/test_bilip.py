@@ -6,11 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from urylab import (Ball, FiniteMetricSpace, PartialMap, PreconditionError,
-                    affine_constants, extend_dense, extend_one_point,
-                    glue_identity_check, goodness_check, is_compliant,
+from urylab import (Ball, DegenerateInputError, ExtensionTrace,
+                    FiniteMetricSpace, PartialMap, PreconditionError,
+                    affine_constants, bilip, extend_dense, extend_one_point,
+                    glue_identity_check, goodness_check, io, is_compliant,
                     katetov_extend, kn_admissible, move_point_in_ball,
                     realize_point, segment_transport_bound, validate_space)
+from urylab.cli import verify_trace_lines
 from urylab.gen import (random_compliant_instance, random_outside_points,
                         random_point_in_ball)
 from oracle_utils import (assert_condition_g, assert_pairwise_bounds,
@@ -87,19 +89,18 @@ def test_extend_noop_when_already_in_domain():
     assert step.noop and g == f and grown is space
 
 
-def test_extend_rejects_noncompliant_input():
+def noncompliant_setup():
     # stretch factor 3 between the pair with K = 2
     space = FiniteMetricSpace.from_rows(
         ("x1", "a", "fa"), ((0, 1, 3), (1, 0, 2), (3, 2, 0)))
     bad = PartialMap((0, 1), (0, 2))
-    ball = Ball(0, 100)
-    assert not is_compliant(bad, ball, kn_admissible(2, 8), space).ok
+    ball, kn = Ball(0, 100), kn_admissible(2, 8)
+    assert not is_compliant(bad, ball, kn, space).ok
     space2, x = random_point_in_ball(random.Random(0), space, ball)
-    with pytest.raises(PreconditionError):
-        extend_one_point(bad, ball, kn_admissible(2, 8), x, "domain", space2)
+    return space2, bad, ball, kn, x
 
 
-def test_extend_rejects_not_bigood_input():
+def not_bigood_setup():
     # 2-bilipschitz but too displaced for N-goodness near the boundary
     space = FiniteMetricSpace.from_rows(
         ("x1", "a", "fa"), ((0, 2, 2), (2, 0, 3), (2, 3, 0)))
@@ -109,8 +110,76 @@ def test_extend_rejects_not_bigood_input():
     cert = is_compliant(f, ball, kn, space)
     assert cert.lip_ok and not cert.goodness.ok
     space2, x = random_point_in_ball(random.Random(1), space, ball)
+    return space2, f, ball, kn, x
+
+
+def test_extend_rejects_noncompliant_input():
+    space, bad, ball, kn, x = noncompliant_setup()
     with pytest.raises(PreconditionError):
-        extend_one_point(f, ball, kn, x, "domain", space2)
+        extend_one_point(bad, ball, kn, x, "domain", space)
+
+
+def test_extend_rejects_not_bigood_input():
+    space, f, ball, kn, x = not_bigood_setup()
+    with pytest.raises(PreconditionError):
+        extend_one_point(f, ball, kn, x, "domain", space)
+
+
+@pytest.mark.parametrize("setup", [noncompliant_setup, not_bigood_setup])
+def test_dense_and_replay_certify_the_seed_map(setup):
+    space, f, ball, kn, x = setup()
+    with pytest.raises(PreconditionError) as single:
+        extend_one_point(f, ball, kn, x, "domain", space)
+    with pytest.raises(PreconditionError) as dense:
+        extend_dense(f, ball, kn, [x], space)
+    assert type(dense.value) is type(single.value)
+    assert str(dense.value) == str(single.value)
+    # one line per existing pair, so the replay reaches the first step
+    lines = [io.TraceLine(m, "d", F(1), F(1), F(1), F(1), "q1")
+             for m in (1, 2)]
+    assert verify_trace_lines(space, f, ball, kn, [x], lines) == (
+        False, str(single.value))
+
+
+# Solver outputs for the worked instance (d_1 = d(x, x1) = 1, r = 10,
+# K = 2, N = 4), each breaking one postcondition of the step.
+@pytest.mark.parametrize("e, s, error", [
+    ([F(3)], F(2), PreconditionError),          # e_1 > K*d_1 (IE3)
+    ([F(5, 4)], F(1, 8), PreconditionError),    # |s - e_1| > d(x, x1)
+    ([F(5, 4)], F(9, 4), PreconditionError),    # N*s > r - e_1
+    ([F(0)], F(1), DegenerateInputError),
+], ids=["stretch", "katetov-x-row", "goodness", "zero-e"])
+def test_step_postcondition_rejects_broken_solve(e, s, error, monkeypatch):
+    realized = []
+    monkeypatch.setattr(bilip, "_solve_new_distances",
+                        lambda *args, **kw: (list(e), s, []))
+    monkeypatch.setattr(bilip, "realize_point",
+                        lambda *args, **kw: realized.append(args))
+    space, ball, kn, f = worked_setup()
+    with pytest.raises(error):
+        extend_one_point(f, ball, kn, 1, "domain", space)
+    assert not realized
+
+
+def test_chained_public_steps_match_extend_dense():
+    rng = random.Random(4242)
+    for _ in range(10):
+        space, f, ball, kn = random_compliant_instance(rng, grow=2)
+        targets = []
+        for _ in range(3):
+            space, x = random_point_in_ball(rng, space, ball)
+            targets.append(x)
+        policy = rng.choice(("midpoint", "minimal", "maximal"))
+        dense_f, dense_space, dense = extend_dense(f, ball, kn, targets,
+                                                   space, policy)
+        chained = ExtensionTrace()
+        for x in targets:
+            for side in ("domain", "range"):
+                f, space, step = extend_one_point(f, ball, kn, x, side, space,
+                                                  policy)
+                chained.steps.append(step)
+        assert io.format_trace(chained) == io.format_trace(dense)
+        assert (f, space) == (dense_f, dense_space)
 
 
 def test_extend_requires_fixed_center():

@@ -253,3 +253,40 @@ def test_cli_witness(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "exceeds=true" in out and "bicontinuity(2*gamma) ok=true" in out
+
+
+def assert_parse_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
+def test_cli_non_ascii_point_count_is_parse_error(tmp_path, capsys):
+    space = tmp_path / "s.ums"
+    space.write_text("points ²\nlabels a b\nrow 0 1\nrow 1 0\n")
+    assert_parse_error(main(["validate", str(space)]), capsys)
+
+
+@pytest.mark.parametrize("line", [
+    "step x side=d interval=[1/2,2] e=5/4 s=35/16 point=q1",
+    "step 1 side=d interval=[1/2] e=5/4 s=35/16 point=q1",
+])
+def test_cli_bad_trace_line_is_parse_error(tmp_path, capsys, line):
+    trace = tmp_path / "t.trace"
+    trace.write_text(line + "\n")
+    space = tmp_path / "s.ums"
+    space.write_text(WORKED_UMS)
+    fmap = tmp_path / "f.map"
+    fmap.write_text(WORKED_MAP)
+    rc = main([str(a) for a in (
+        "verify-trace", trace, space, fmap, "--center", "x1", "--radius",
+        "10", "--K", "2", "--N", "4", "--target", "x")])
+    assert_parse_error(rc, capsys)
+
+
+def test_cli_unwritable_out_is_parse_error(tmp_path, capsys):
+    space = tmp_path / "s.ums"
+    space.write_text(WORKED_UMS)
+    out = tmp_path / "missing" / "report.txt"
+    assert_parse_error(main(["validate", str(space), "--out", str(out)]),
+                       capsys)
