@@ -40,9 +40,6 @@ class AmalgamInterval:
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def one_point_interval(d0: Sequence[Rational],
                        d1: Sequence[Rational]) -> AmalgamInterval:
@@ -62,23 +59,25 @@ def one_point_interval(d0: Sequence[Rational],
     return AmalgamInterval(lo, hi)
 
 
-def _choose(interval: AmalgamInterval, policy: Policy,
-            explicit: Optional[Fraction]) -> Fraction:
+def _choose(lo: Fraction, hi: Fraction, policy: Policy) -> Fraction:
+    """The value a 'minimal', 'midpoint' or 'maximal' policy picks in [lo, hi]."""
     if policy == "minimal":
-        return interval.lo
+        return lo
     if policy == "midpoint":
-        return interval.midpoint()
+        return (lo + hi) / 2
     if policy == "maximal":
-        return interval.hi
-    if policy == "explicit":
-        if explicit is None:
-            raise PreconditionError("explicit policy needs a value for every new pair")
-        if not interval.contains(explicit):
-            raise PreconditionError(
-                f"explicit value {explicit} outside feasible interval "
-                f"[{interval.lo}, {interval.hi}]")
-        return explicit
+        return hi
     raise PreconditionError(f"unknown policy {policy!r}")
+
+
+def _explicit(interval: AmalgamInterval, value: Optional[Fraction]) -> Fraction:
+    if value is None:
+        raise PreconditionError("explicit policy needs a value for every new pair")
+    if not interval.contains(value):
+        raise PreconditionError(
+            f"explicit value {value} outside feasible interval "
+            f"[{interval.lo}, {interval.hi}]")
+    return value
 
 
 def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
@@ -118,8 +117,10 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
             lo = max(abs(g - work.d(z, w)) for z, g in known.items())
             hi = min(g + work.d(z, w) for z, g in known.items())
             interval = AmalgamInterval(lo, hi)
-            value = _choose(interval, policy,
-                            explicit.get((lab, work.labels[w])))
+            if policy == "explicit":
+                value = _explicit(interval, explicit.get((lab, work.labels[w])))
+            else:
+                value = _choose(lo, hi, policy)
             if value == 0:
                 merged_into = w
                 break
@@ -210,8 +211,7 @@ def _katetov_fill(space: FiniteMetricSpace,
 
 
 def realize_point(space: FiniteMetricSpace, g: KatetovFunction,
-                  label: Optional[str] = None, validate: bool = True,
-                  ) -> tuple[FiniteMetricSpace, int]:
+                  validate: bool = True) -> tuple[FiniteMetricSpace, int]:
     """Realize the point a Katetov function describes.
 
     A zero value means the point already exists: the space comes back
@@ -230,6 +230,5 @@ def realize_point(space: FiniteMetricSpace, g: KatetovFunction,
     zeros = g.zeros()
     if zeros:
         return space, zeros[0]
-    new_label = label or space.fresh_label()
-    grown = space.with_point(new_label, g.values)
+    grown = space.with_point(space.fresh_label(), g.values)
     return grown, grown.n - 1

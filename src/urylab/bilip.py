@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .amalgam import _katetov_fill, katetov_extend, realize_point
+from .amalgam import _choose, _katetov_fill, katetov_extend, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
                    Rational, goodness_check, lip_details, map_in_ball, rat)
 from .errors import DegenerateInputError, InfeasibleError, PreconditionError
+
+if TYPE_CHECKING:  # io imports this module
+    from .io import TraceLine
 
 ChoicePolicy = str  # 'midpoint' | 'minimal' | 'maximal'
 
@@ -115,17 +118,6 @@ class ExtensionTrace:
     steps: list[ExtensionStep] = field(default_factory=list)
 
 
-def _pick(interval_lo: Fraction, interval_hi: Fraction,
-          policy: ChoicePolicy) -> Fraction:
-    if policy == "midpoint":
-        return (interval_lo + interval_hi) / 2
-    if policy == "minimal":
-        return interval_lo
-    if policy == "maximal":
-        return interval_hi
-    raise PreconditionError(f"unknown choice policy {policy!r}")
-
-
 def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                          pairs: Sequence[tuple[int, int]], x: int,
                          policy: ChoicePolicy,
@@ -202,7 +194,7 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                     f"replayed e_{m + 1} = {chosen} outside [{lo}, {hi}]",
                     lo_family, lo, hi_family, hi)
         else:
-            chosen = _pick(lo, hi, policy)
+            chosen = _choose(lo, hi, policy)
         records.append(SolveRecord(m + 1, tuple(lowers), tuple(uppers),
                                    lo, hi, lo_family, hi_family, chosen))
         e.append(chosen)
@@ -223,7 +215,6 @@ def _require_inside(ball: Ball, space: FiniteMetricSpace, x: int) -> None:
 def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
                      side: str, space: FiniteMetricSpace,
                      policy: ChoicePolicy = "midpoint",
-                     label: Optional[str] = None,
                      forced: Optional[Sequence[Fraction]] = None,
                      ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """Add x to the map's domain (or range), preserving compliance.
@@ -249,13 +240,12 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
         raise PreconditionError(
             "map is not (K, N)-compliant on input: "
             + ("stretch" if not cert.lip_ok else "goodness") + " bound fails")
-    return _extend_step(f, ball, kn, x, side, space, policy, label, forced)
+    return _extend_step(f, ball, kn, x, side, space, policy, forced)
 
 
 def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                      pairs: Sequence[tuple[int, int]], x: int,
-                     e: Sequence[Fraction], s: Fraction,
-                     label: Optional[str]) -> None:
+                     e: Sequence[Fraction], s: Fraction) -> None:
     """Exact O(n) proof that the new pair (x, y) keeps the map compliant.
 
     y is the point to be realized at distance e_m from y_m and s from x.
@@ -276,7 +266,7 @@ def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
         if em == 0:
             raise DegenerateInputError(
                 f"image points {labels[ym]!r}, "
-                f"{label or space.fresh_label()!r} at distance 0")
+                f"{space.fresh_label()!r} at distance 0")
         if em > K * dm or dm > K * em:
             raise PreconditionError(
                 f"new pair breaks the stretch bound against {labels[xm]!r}: "
@@ -295,7 +285,6 @@ def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
 
 def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
                  space: FiniteMetricSpace, policy: ChoicePolicy = "midpoint",
-                 label: Optional[str] = None,
                  forced: Optional[Sequence[Fraction]] = None,
                  ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """``extend_one_point`` for a map already certified compliant.
@@ -316,10 +305,10 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
     pairs = [(center, center)] + [p for p in work.pairs() if p[0] != center]
     e, s, records = _solve_new_distances(space, ball, kn, pairs, x, policy,
                                          forced)
-    _certify_new_row(space, ball, kn, pairs, x, e, s, label)
+    _certify_new_row(space, ball, kn, pairs, x, e, s)
     values: dict[int, Fraction] = {yi: ei for (_, yi), ei in zip(pairs, e)}
     values[x] = s
-    grown, y = realize_point(space, _katetov_fill(space, values), label=label,
+    grown, y = realize_point(space, _katetov_fill(space, values),
                              validate=False)
 
     new_work = work.extended(x, y)
@@ -353,6 +342,49 @@ def extend_dense(f: PartialMap, ball: Ball, kn: KNParams,
             trace.steps.append(step)
             extend = _extend_step
     return f, space, trace
+
+
+def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
+                       kn: KNParams, targets: Sequence[int],
+                       lines: Sequence[TraceLine]) -> tuple[bool, str]:
+    """Replay a trace against its inputs, re-deriving every interval.
+
+    Recorded e-values are used as the choices, so any policy-consistent
+    trace is accepted; every interval, chosen value, pair distance, and
+    realized label must match the recomputation exactly.  The input map is
+    certified in full by the first replayed step; each later step proves
+    only its new row.
+    """
+    idx = 0
+    extend = extend_one_point
+    for x in targets:
+        for side in ("domain", "range"):
+            work = fmap if side == "domain" else fmap.inverse()
+            if x in work.domain:
+                continue
+            count = len(work)
+            chunk = lines[idx:idx + count]
+            if len(chunk) < count:
+                return False, f"trace truncated at line {idx + len(chunk) + 1}"
+            try:
+                fmap, space, step = extend(
+                    fmap, ball, kn, x, side, space,
+                    forced=[ln.e for ln in chunk])
+            except (InfeasibleError, PreconditionError) as exc:
+                return False, str(exc)
+            extend = _extend_step
+            tag = "d" if side == "domain" else "r"
+            for rec, ln in zip(step.solves, chunk):
+                got = (rec.m, tag, rec.lo, rec.hi, rec.chosen, step.s,
+                       step.realized_label)
+                want = (ln.m, ln.side, ln.lo, ln.hi, ln.e, ln.s, ln.point)
+                if got != want:
+                    return False, (f"line {idx + rec.m}: recomputed "
+                                   f"{got} != recorded {want}")
+            idx += count
+    if idx != len(lines):
+        return False, f"{len(lines) - idx} unexplained trailing lines"
+    return True, f"verified {idx} steps"
 
 
 @dataclass(frozen=True)
@@ -445,14 +477,13 @@ def move_point_in_ball(space: FiniteMetricSpace, x: int, r: Rational,
     duv = space.d(u, v)
     assert duv < (12 * s - duy) / 4 and duv < (12 * s - dvy) / 4
 
-    seed = PartialMap((y, u), (y, v), support_ball=ball)
+    seed = PartialMap((y, u), (y, v))
     assert is_compliant(seed, ball, kn, space).ok
     fmap, space, trace = extend_dense(seed, ball, kn, targets, space, policy)
 
     outside = tuple(w for w in range(space.n)
                     if not ball.strictly_inside(space, w))
-    glued = PartialMap(fmap.domain + outside, fmap.images + outside,
-                       support_ball=ball)
+    glued = PartialMap(fmap.domain + outside, fmap.images + outside)
     report = glue_identity_check(fmap, ball, kn, space)
     assert report.ok
     return MoveResult(glued, space, trace, y, ball, s, False, duy, dvy)

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from . import gen, io
 from .amalgam import amalgamate
-from .bilip import (Ball, _extend_step, extend_dense, extend_one_point,
-                    is_compliant, kn_admissible)
+from .bilip import (Ball, extend_dense, is_compliant, kn_admissible,
+                    verify_trace_lines)
 from .core import FiniteMetricSpace, PartialMap, validate_space
 from .errors import (InfeasibleError, ParseError, PreconditionError,
                      StructuralError)
@@ -104,49 +104,6 @@ def cmd_verify_trace(args) -> int:
     ok, message = verify_trace_lines(space, fmap, ball, kn, targets, lines)
     _emit(("ok: " if ok else "FAIL: ") + message + "\n", args.out)
     return 0 if ok else 1
-
-
-def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
-                       kn, targets: Sequence[int],
-                       lines: Sequence[io.TraceLine]) -> tuple[bool, str]:
-    """Replay a trace against its inputs, re-deriving every interval.
-
-    Recorded e-values are used as the choices, so any policy-consistent
-    trace is accepted; every interval, chosen value, pair distance, and
-    realized label must match the recomputation exactly.  The input map is
-    certified in full by the first replayed step; each later step proves
-    only its new row.
-    """
-    idx = 0
-    extend = extend_one_point
-    for x in targets:
-        for side in ("domain", "range"):
-            work = fmap if side == "domain" else fmap.inverse()
-            if x in work.domain:
-                continue
-            count = len(work)
-            chunk = lines[idx:idx + count]
-            if len(chunk) < count:
-                return False, f"trace truncated at line {idx + len(chunk) + 1}"
-            try:
-                fmap, space, step = extend(
-                    fmap, ball, kn, x, side, space,
-                    forced=[ln.e for ln in chunk])
-            except (InfeasibleError, PreconditionError) as exc:
-                return False, str(exc)
-            extend = _extend_step
-            tag = "d" if side == "domain" else "r"
-            for rec, ln in zip(step.solves, chunk):
-                got = (rec.m, tag, rec.lo, rec.hi, rec.chosen, step.s,
-                       step.realized_label)
-                want = (ln.m, ln.side, ln.lo, ln.hi, ln.e, ln.s, ln.point)
-                if got != want:
-                    return False, (f"line {idx + rec.m}: recomputed "
-                                   f"{got} != recorded {want}")
-            idx += count
-    if idx != len(lines):
-        return False, f"{len(lines) - idx} unexplained trailing lines"
-    return True, f"verified {idx} steps"
 
 
 def cmd_extend_mc(args) -> int:

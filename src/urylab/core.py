@@ -177,7 +177,6 @@ class PartialMap:
 
     domain: tuple[int, ...]
     images: tuple[int, ...]
-    support_ball: Optional[Ball] = None
 
     def __post_init__(self):
         if len(self.domain) != len(self.images):
@@ -197,11 +196,10 @@ class PartialMap:
         return self.images[self.domain.index(i)]
 
     def inverse(self) -> "PartialMap":
-        return PartialMap(self.images, self.domain, self.support_ball)
+        return PartialMap(self.images, self.domain)
 
     def extended(self, x: int, y: int) -> "PartialMap":
-        return PartialMap(self.domain + (x,), self.images + (y,),
-                          self.support_ball)
+        return PartialMap(self.domain + (x,), self.images + (y,))
 
 
 def map_in_ball(f: PartialMap, ball: Ball, space: FiniteMetricSpace) -> None:

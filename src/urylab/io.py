@@ -17,10 +17,14 @@ from .moduli import PLFunction
 
 
 def parse_rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}: {exc}") from None
+    """Read ``[-]p[/q]`` with p, q ASCII digit strings and q > 0."""
+    num, slash, den = token.partition("/")
+    negative = num.startswith("-")
+    p = _natural(num[1:] if negative else num)
+    q = _natural(den) if slash else 1
+    if p is None or q is None or q == 0:
+        raise ParseError(f"bad rational {token!r}: expected [-]p[/q]")
+    return Fraction(-p if negative else p, q)
 
 
 def _natural(token: str) -> Optional[int]:

@@ -62,7 +62,6 @@ class McExtension:
 def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
                         rng_space: FiniteMetricSpace, alpha: PLFunction,
                         beta: PLFunction, p: int,
-                        label: Optional[str] = None,
                         bound: Rational = 0) -> McExtension:
     """Realize an image q for the new domain point p via the shortest-path rule.
 
@@ -79,7 +78,7 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
     if not f.domain:
         raise PreconditionError("cannot extend an empty map")
     box = max(rat(bound), dom_space.diameter())
-    hit = star_condition(alpha, beta, box, tails=False)
+    hit = star_condition(alpha, beta, box)
     if hit is not None:
         s, t, lhs, rhs = hit[:4]
         raise PreconditionError(
@@ -93,8 +92,9 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
     for y in range(rng_space.n):
         values[y] = min(rng_space.d(fz, y) + beta.value(dom_space.d(z, p))
                         for z, fz in f.pairs())
+    # katetov_extend has just validated these values on every point.
     g = katetov_extend(rng_space, list(range(rng_space.n)), values)
-    grown, q = realize_point(rng_space, g, label=label, validate=True)
+    grown, q = realize_point(rng_space, g, validate=False)
     new_map = f.extended(p, q)
     require_bicontinuous(new_map, dom_space, grown, alpha, beta)
     return McExtension(new_map, grown, q, grown.labels[q])
@@ -210,7 +210,7 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
         raise PreconditionError("new point already in the domain")
     if not nets or len(nets) != len(eps):
         raise PreconditionError("need one epsilon per net")
-    hit = star_condition(alpha, beta, dom_space.diameter(), tails=False)
+    hit = star_condition(alpha, beta, dom_space.diameter())
     if hit is not None:
         raise PreconditionError(
             f"moduli fail the one-point extension condition at "

@@ -273,23 +273,19 @@ def _tail_witness(alpha: PLFunction, beta: PLFunction, direction: int
     return (s, t, lhs, rhs, direction)
 
 
-def star_condition(alpha: PLFunction, beta: PLFunction, bound: Rational,
-                   tails: bool = True) -> Optional[tuple]:
+def star_condition(alpha: PLFunction, beta: PLFunction,
+                   bound: Rational) -> Optional[tuple]:
     """Check alpha_inv(s) + beta(t) >= alpha_inv(s+t) for s, t in [0, bound].
 
     Returns None when it holds, else a witnessing (s, t, lhs, rhs, 1).  The
-    box is enlarged to cover every breakpoint, which together with the tail
-    slope comparison makes the verdict complete for all s, t >= 0 when
-    ``tails`` is set.
+    box is enlarged to cover every breakpoint of alpha_inv and beta; nothing
+    beyond it is checked, so the tail slopes are left to :func:`compatible`.
     """
     require_modulus(alpha)
     require_modulus(beta)
     bound = rat(bound)
     box = max(bound, alpha.inverse().last_knot, beta.last_knot)
-    hit = _star_on_box(alpha, beta, box, 1)
-    if hit is None and tails:
-        hit = _tail_witness(alpha, beta, 1)
-    return hit
+    return _star_on_box(alpha, beta, box, 1)
 
 
 def compatible(alpha: PLFunction, beta: PLFunction,

@@ -82,6 +82,11 @@ def test_amalgamate_explicit_policy():
         amalgamate(x0, x1, policy="explicit", explicit={("p1", "p0"): 5})
 
 
+def test_amalgamate_unknown_policy_rejected():
+    with pytest.raises(PreconditionError, match="unknown policy 'nearest'"):
+        amalgamate(_pair("p0", "z", 3), _pair("z", "p1", 1), policy="nearest")
+
+
 def test_amalgamate_disagreement_on_z_rejected():
     x0 = _pair("a", "z", 3)
     x1 = FiniteMetricSpace.from_rows(("a", "z"), ((0, 2), (2, 0)))

@@ -182,6 +182,12 @@ def test_chained_public_steps_match_extend_dense():
         assert (f, space) == (dense_f, dense_space)
 
 
+def test_extend_unknown_policy_rejected():
+    space, ball, kn, f = worked_setup()
+    with pytest.raises(PreconditionError, match="unknown policy 'nearest'"):
+        extend_one_point(f, ball, kn, 1, "domain", space, "nearest")
+
+
 def test_extend_requires_fixed_center():
     space = FiniteMetricSpace.from_rows(("x1", "x"), ((0, 1), (1, 0)))
     with pytest.raises(PreconditionError):

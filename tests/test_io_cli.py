@@ -1,11 +1,12 @@
 """Text formats, round trips, CLI exit codes, and trace verification."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from urylab import io
+from urylab import bilip, cli, io
 from urylab.bilip import Ball, extend_dense, kn_admissible
 from urylab.cli import main, verify_trace_lines
 from urylab.core import PartialMap
@@ -56,6 +57,35 @@ def test_map_round_trip():
 def test_modulus_round_trip():
     m = PLFunction.from_points([(0, 0), (1, 1), (3, 2)], F(1, 3))
     assert io.parse_modulus(io.format_modulus(m)) == m
+
+
+@pytest.mark.parametrize("token, value", [
+    ("0", F(0)), ("-0", F(0)), ("7", F(7)), ("-3/4", F(-3, 4)),
+    ("2/4", F(1, 2)), ("007/0014", F(1, 2)),
+])
+def test_parse_rational_grammar(token, value):
+    assert io.parse_rational(token) == value
+
+
+@pytest.mark.parametrize("token", [
+    "1e3", "1.5", "1_0", "+1", " 1", "1 2", "\u0661", "\u00b2", "1/0", "",
+    "-", "1/", "/2", "1/-2", "--1", "1/2/3", "1e200000",
+])
+def test_parse_rational_rejects_other_tokens(token):
+    with pytest.raises(ParseError):
+        io.parse_rational(token)
+
+
+def test_parse_rational_rejects_digits_int_cannot_convert():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() digit limit is disabled")
+    with pytest.raises(ParseError):
+        io.parse_rational("1/" + "9" * (limit + 1))
+
+
+def test_trace_replay_lives_in_bilip():
+    assert cli.verify_trace_lines is bilip.verify_trace_lines
 
 
 def test_trace_round_trip_text():
@@ -281,6 +311,17 @@ def test_cli_bad_trace_line_is_parse_error(tmp_path, capsys, line):
     rc = main([str(a) for a in (
         "verify-trace", trace, space, fmap, "--center", "x1", "--radius",
         "10", "--K", "2", "--N", "4", "--target", "x")])
+    assert_parse_error(rc, capsys)
+
+
+def test_cli_exponent_radius_is_parse_error(tmp_path, capsys):
+    space = tmp_path / "s.ums"
+    space.write_text(WORKED_UMS)
+    fmap = tmp_path / "f.map"
+    fmap.write_text(WORKED_MAP)
+    rc = main([str(a) for a in (
+        "extend-bilip", space, fmap, "--center", "x1", "--radius", "1e3",
+        "--K", "2", "--N", "4", "--target", "x")])
     assert_parse_error(rc, capsys)
 
 

@@ -92,7 +92,7 @@ def test_incompatible_pair_with_witness():
 
 
 def test_star_condition_box_only():
-    hit = star_condition(KINKED, linear(1), 2, tails=False)
+    hit = star_condition(KINKED, linear(1), 2)
     assert hit is not None
     s, t, lhs, rhs, _ = hit
     ainv = KINKED.inverse()
