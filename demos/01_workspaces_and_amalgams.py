@@ -18,12 +18,13 @@ for v in report.violations:
     print("  ", v.kind, v.points, v.detail)
 
 # A Katetov function prescribes the distances of a point that does not
-# exist yet; realize_point appends it.  Partial prescriptions extend by the
-# shortest-path rule.
+# exist yet.  A prescription on part of the space extends to the rest by the
+# shortest-path rule; realize_point checks it, extends it and appends the
+# point.
 line = FiniteMetricSpace.from_rows(("p", "q"), ((0, 2), (2, 0)))
-g = katetov_extend(line, [0], {0: F(1, 2)})
-print("\nprescription:", dict(zip(line.labels, g.values)))
-grown, new = realize_point(line, g)
+g = katetov_extend(line, {0: F(1, 2)})
+print("\nprescription:", dict(zip(line.labels, g)))
+grown, new = realize_point(line, {0: F(1, 2)})
 print("realized", grown.labels[new], "at",
       [str(grown.d(new, i)) for i in range(2)])
 print("still a metric space:", validate_space(grown).ok)

@@ -8,8 +8,7 @@ from fractions import Fraction as F
 
 from urylab import (Ball, FiniteMetricSpace, PartialMap, extend_dense,
                     extend_one_point, glue_identity_check, is_compliant,
-                    katetov_extend, kn_admissible, move_point_in_ball,
-                    realize_point)
+                    kn_admissible, move_point_in_ball, realize_point)
 from urylab.gen import random_outside_points, random_point_in_ball
 from urylab.io import format_trace
 
@@ -53,10 +52,8 @@ print("glued with identity outside the ball:", report.ok,
 
 # A canned application: move u to v inside a safety ball with stretch 2.
 ws = FiniteMetricSpace.from_rows(("x",), ((0,),))
-g = katetov_extend(ws, [0], {0: F(1, 2)})
-ws, u = realize_point(ws, g)
-g = katetov_extend(ws, [0, u], {0: F(1, 2), u: F(3, 4)})
-ws, v = realize_point(ws, g)
+ws, u = realize_point(ws, {0: F(1, 2)})
+ws, v = realize_point(ws, {0: F(1, 2), u: F(3, 4)})
 res = move_point_in_ball(ws, 0, 15, u, v)
 print("\nmove u -> v: auxiliary point at 3s, d(u,y) =", res.d_u_y,
       " d(v,y) =", res.d_v_y, " (both in (2s, 4s) for s =", str(res.s) + ")")

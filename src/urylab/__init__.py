@@ -8,8 +8,8 @@ piecewise-linear moduli of continuity, and exact semimetrics on the group of
 bilipschitz automorphisms.
 """
 
-from .amalgam import (AmalgamInterval, KatetovFunction, amalgamate,
-                      katetov_extend, one_point_interval, realize_point)
+from .amalgam import (AmalgamInterval, amalgamate, katetov_extend,
+                      one_point_interval, realize_point)
 from .bilip import (ComplianceCertificate, ExtensionStep, ExtensionTrace,
                     GlueReport, KNParams, MoveResult, affine_constants,
                     extend_dense, extend_one_point, glue_identity_check,
@@ -36,8 +36,8 @@ __all__ = [
     "ComplianceCertificate", "CounterexampleBundle", "DegenerateInputError",
     "ExtensionStep", "ExtensionTrace", "FiniteMetricSpace", "GlueReport",
     "GoodnessReport", "GroupDistance", "InfeasibleError", "KNParams",
-    "KatetovFunction", "MCSemigroup", "McExtension", "MoveResult",
-    "NetRefinement", "ParseError", "PartialMap", "PLFunction",
+    "MCSemigroup", "McExtension", "MoveResult", "NetRefinement",
+    "ParseError", "PartialMap", "PLFunction",
     "PreconditionError", "SeparationWitness", "StructuralError",
     "UrylabError", "ValidationReport", "affine_constants", "amalgamate",
     "compatible", "dist_L", "dist_S", "dist_hat", "dist_n", "extend_dense",

@@ -134,27 +134,6 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
     return work
 
 
-@dataclass(frozen=True)
-class KatetovFunction:
-    """A one-point distance prescription over a whole space.
-
-    values[i] is the intended distance from the (not yet realized) new point
-    to point i.  Validity means |g(a) - g(b)| <= d(a,b) <= g(a) + g(b) for
-    every pair; at most one value can be zero, and a zero forces the new
-    point to coincide with an existing one.
-    """
-
-    space: FiniteMetricSpace
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.space.n:
-            raise StructuralError("Katetov values do not cover the space")
-
-    def zeros(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v == 0)
-
-
 def katetov_violations(space: FiniteMetricSpace,
                        values: Mapping[int, Fraction]
                        ) -> list[tuple[int, int, str]]:
@@ -173,18 +152,18 @@ def katetov_violations(space: FiniteMetricSpace,
     return out
 
 
-def katetov_extend(space: FiniteMetricSpace, on: Sequence[int],
-                   values: Mapping[int, Rational]) -> KatetovFunction:
-    """Extend a partial one-point prescription to the whole space.
+def katetov_extend(space: FiniteMetricSpace,
+                   values: Mapping[int, Rational]) -> tuple[Fraction, ...]:
+    """Extend a one-point prescription from its support to the whole space.
 
-    Uses the shortest-path rule g(w) = min over a of (g(a) + d(a, w)), which
-    keeps every pair inequality valid.  The given values must already satisfy
-    the pair inequalities on their own support.
+    The given values must satisfy the pair inequalities
+    |g(a) - g(b)| <= d(a,b) <= g(a) + g(b) on their own support; this is
+    checked.  The rest is filled by the shortest-path rule, which keeps every
+    pair inequality valid.  Returns the value at every point, in index order.
     """
-    on = sorted(set(on))
-    if not on:
+    if not values:
         raise PreconditionError("empty support")
-    vals = {a: rat(values[a]) for a in on}
+    vals = {a: rat(v) for a, v in values.items()}
     bad = katetov_violations(space, vals)
     if bad:
         a, b, msg = bad[0]
@@ -195,40 +174,27 @@ def katetov_extend(space: FiniteMetricSpace, on: Sequence[int],
 
 
 def _katetov_fill(space: FiniteMetricSpace,
-                  vals: Mapping[int, Fraction]) -> KatetovFunction:
-    """Shortest-path completion of a prescription already known to be valid.
+                  vals: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
+    """Shortest-path rule g(w) = min over a of (g(a) + d(a, w)), unchecked.
 
-    The caller vouches for the pair inequalities on the support; nothing is
-    re-checked here.
+    The caller vouches for the pair inequalities on the support.
     """
-    full = []
-    for w in range(space.n):
-        if w in vals:
-            full.append(vals[w])
-        else:
-            full.append(min(vals[a] + space.d(a, w) for a in vals))
-    return KatetovFunction(space, tuple(full))
+    return tuple(vals[w] if w in vals
+                 else min(g + space.d(a, w) for a, g in vals.items())
+                 for w in range(space.n))
 
 
-def realize_point(space: FiniteMetricSpace, g: KatetovFunction,
-                  validate: bool = True) -> tuple[FiniteMetricSpace, int]:
-    """Realize the point a Katetov function describes.
+def realize_point(space: FiniteMetricSpace, values: Mapping[int, Rational]
+                  ) -> tuple[FiniteMetricSpace, int]:
+    """Realize the point a one-point prescription describes.
 
-    A zero value means the point already exists: the space comes back
-    unchanged together with that index (minimal identification).  Otherwise a
-    fresh point is appended with exactly the prescribed distances.
+    The prescription is checked on its support and completed by
+    :func:`katetov_extend`.  A zero value means the point already exists:
+    the space comes back unchanged together with that index (minimal
+    identification).  Otherwise a fresh point is appended with exactly the
+    completed distances.
     """
-    if g.space is not space and g.space != space:
-        raise PreconditionError("Katetov function belongs to another space")
-    if validate:
-        bad = katetov_violations(space, dict(enumerate(g.values)))
-        if bad:
-            a, b, msg = bad[0]
-            raise PreconditionError(
-                f"invalid Katetov function at ({space.labels[a]!r}, "
-                f"{space.labels[b]!r}): {msg}")
-    zeros = g.zeros()
-    if zeros:
-        return space, zeros[0]
-    grown = space.with_point(space.fresh_label(), g.values)
-    return grown, grown.n - 1
+    full = katetov_extend(space, values)
+    if 0 in full:
+        return space, full.index(0)
+    return space.with_point(space.fresh_label(), full), space.n

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .amalgam import _choose, _katetov_fill, katetov_extend, realize_point
+from .amalgam import _choose, _katetov_fill, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
                    Rational, goodness_check, lip_details, map_in_ball, rat)
 from .errors import DegenerateInputError, InfeasibleError, PreconditionError
@@ -206,10 +206,24 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
     return e, s, records
 
 
-def _require_inside(ball: Ball, space: FiniteMetricSpace, x: int) -> None:
-    if not ball.strictly_inside(space, x):
+def _certify_seed(f: PartialMap, ball: Ball, kn: KNParams,
+                  space: FiniteMetricSpace) -> None:
+    """Full O(n^2) certificate of the map an extension run starts from.
+
+    Checks that (K, N) is admissible, that f fixes the ball center and that
+    f is (K, N)-compliant; every later step of the run proves only its new
+    row.
+    """
+    if not kn.admissible:
+        raise PreconditionError(f"(K, N) = ({kn.K}, {kn.N}) not admissible")
+    center = ball.center
+    if center not in f.domain or f.image_of(center) != center:
+        raise PreconditionError("map must fix the ball center")
+    cert = is_compliant(f, ball, kn, space)
+    if not cert.ok:
         raise PreconditionError(
-            f"new point {space.labels[x]!r} not strictly inside the ball")
+            "map is not (K, N)-compliant on input: "
+            + ("stretch" if not cert.lip_ok else "goodness") + " bound fails")
 
 
 def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
@@ -227,19 +241,7 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
     """
     if side not in ("domain", "range"):
         raise PreconditionError(f"side must be 'domain' or 'range', got {side!r}")
-    if not kn.admissible:
-        raise PreconditionError(f"(K, N) = ({kn.K}, {kn.N}) not admissible")
-    work = f if side == "domain" else f.inverse()
-
-    center = ball.center
-    if center not in work.domain or work.image_of(center) != center:
-        raise PreconditionError("map must fix the ball center")
-    _require_inside(ball, space, x)
-    cert = is_compliant(work, ball, kn, space)
-    if not cert.ok:
-        raise PreconditionError(
-            "map is not (K, N)-compliant on input: "
-            + ("stretch" if not cert.lip_ok else "goodness") + " bound fails")
+    _certify_seed(f if side == "domain" else f.inverse(), ball, kn, space)
     return _extend_step(f, ball, kn, x, side, space, policy, forced)
 
 
@@ -289,12 +291,13 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
                  ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """``extend_one_point`` for a map already certified compliant.
 
-    The caller vouches that f fixes the center and is (K, N)-compliant with
-    admissible (K, N), as ``extend_one_point`` checks.  Only the new row is
+    The caller vouches for f by :func:`_certify_seed`.  Only the new row is
     proved, by :func:`_certify_new_row`, so the output is certified too and
     a run of steps needs a single full certificate, of its first map.
     """
-    _require_inside(ball, space, x)
+    if not ball.strictly_inside(space, x):
+        raise PreconditionError(
+            f"new point {space.labels[x]!r} not strictly inside the ball")
     work = f if side == "domain" else f.inverse()
     if x in work.domain:
         step = ExtensionStep(side, x, space.labels[x], True, (), None, None,
@@ -308,8 +311,9 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
     _certify_new_row(space, ball, kn, pairs, x, e, s)
     values: dict[int, Fraction] = {yi: ei for (_, yi), ei in zip(pairs, e)}
     values[x] = s
-    grown, y = realize_point(space, _katetov_fill(space, values),
-                             validate=False)
+    # The certified row is positive everywhere, so the point is new.
+    grown = space.with_point(space.fresh_label(), _katetov_fill(space, values))
+    y = grown.n - 1
 
     new_work = work.extended(x, y)
     new_map = new_work if side == "domain" else new_work.inverse()
@@ -331,16 +335,15 @@ def extend_dense(f: PartialMap, ball: Ball, kn: KNParams,
     Each target enters the domain first, then the range; every intermediate
     map stays (K, N)-compliant.  For targets forming a fine net this is the
     desk-scale form of extending over a totally bounded set.  The seed map
-    is certified in full once, by the first step; every later step proves
-    only its new row.
+    is certified in full once, before any step; every step proves only its
+    new row.
     """
+    _certify_seed(f, ball, kn, space)
     trace = ExtensionTrace()
-    extend = extend_one_point
     for x in targets:
         for side in ("domain", "range"):
-            f, space, step = extend(f, ball, kn, x, side, space, policy)
+            f, space, step = _extend_step(f, ball, kn, x, side, space, policy)
             trace.steps.append(step)
-            extend = _extend_step
     return f, space, trace
 
 
@@ -352,11 +355,14 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
     Recorded e-values are used as the choices, so any policy-consistent
     trace is accepted; every interval, chosen value, pair distance, and
     realized label must match the recomputation exactly.  The input map is
-    certified in full by the first replayed step; each later step proves
-    only its new row.
+    certified in full once, before any step; each step proves only its new
+    row.
     """
+    try:
+        _certify_seed(fmap, ball, kn, space)
+    except PreconditionError as exc:
+        return False, str(exc)
     idx = 0
-    extend = extend_one_point
     for x in targets:
         for side in ("domain", "range"):
             work = fmap if side == "domain" else fmap.inverse()
@@ -367,12 +373,11 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
             if len(chunk) < count:
                 return False, f"trace truncated at line {idx + len(chunk) + 1}"
             try:
-                fmap, space, step = extend(
+                fmap, space, step = _extend_step(
                     fmap, ball, kn, x, side, space,
                     forced=[ln.e for ln in chunk])
             except (InfeasibleError, PreconditionError) as exc:
                 return False, str(exc)
-            extend = _extend_step
             tag = "d" if side == "domain" else "r"
             for rec, ln in zip(step.solves, chunk):
                 got = (rec.m, tag, rec.lo, rec.hi, rec.chosen, step.s,
@@ -469,8 +474,7 @@ def move_point_in_ball(space: FiniteMetricSpace, x: int, r: Rational,
         return MoveResult(fmap, space, ExtensionTrace(), None, None, s, True,
                           None, None)
 
-    g = katetov_extend(space, [x], {x: 3 * s})
-    space, y = realize_point(space, g, validate=False)
+    space, y = realize_point(space, {x: 3 * s})
     ball = Ball(y, 12 * s)
     duy, dvy = space.d(u, y), space.d(v, y)
     assert 2 * s < duy < 4 * s and 2 * s < dvy < 4 * s
@@ -478,7 +482,6 @@ def move_point_in_ball(space: FiniteMetricSpace, x: int, r: Rational,
     assert duv < (12 * s - duy) / 4 and duv < (12 * s - dvy) / 4
 
     seed = PartialMap((y, u), (y, v))
-    assert is_compliant(seed, ball, kn, space).ok
     fmap, space, trace = extend_dense(seed, ball, kn, targets, space, policy)
 
     outside = tuple(w for w in range(space.n)

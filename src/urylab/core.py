@@ -13,19 +13,18 @@ from typing import Optional, Sequence, Union
 
 from .errors import DegenerateInputError, PreconditionError, StructuralError
 
-Rational = Union[Fraction, int, str]
+Rational = Union[Fraction, int]
 
 
 def rat(value: Rational) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
+    """Coerce an int or Fraction to an exact Fraction.
 
-    Floats are rejected on purpose: the core is exact-only.
+    Floats and strings are rejected on purpose: the core is exact-only, and
+    text is read by ``io.parse_rational``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -76,12 +75,12 @@ class FiniteMetricSpace:
             return Fraction(0)
         return max(self.dist[i][j] for i in range(self.n) for j in range(i))
 
-    def fresh_label(self, stem: str = "q") -> str:
+    def fresh_label(self) -> str:
         k = 1
         taken = set(self.labels)
-        while f"{stem}{k}" in taken:
+        while f"q{k}" in taken:
             k += 1
-        return f"{stem}{k}"
+        return f"q{k}"
 
     def with_point(self, label: str,
                    row: Sequence[Fraction]) -> "FiniteMetricSpace":

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .amalgam import katetov_extend, realize_point
+from .amalgam import realize_point
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
 from .core import FiniteMetricSpace, PartialMap, rat
@@ -78,16 +78,15 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
         if rho_b <= 0 or rho_b < lo or rho_b > hi:
             continue
         try:
-            g = katetov_extend(space, [a, b], {a: rho_a, b: rho_b})
+            grown, x = realize_point(space, {a: rho_a, b: rho_b})
         except PreconditionError:
             continue
-        if g.values[center] < r:
-            return realize_point(space, g, validate=False)
+        if grown.d(center, x) < r:
+            return grown, x
     rho = rand_fraction(rng, r / (2 * den), r * Fraction(den - 1, den), den)
     if rho <= 0 or rho >= r:
         rho = r / 2
-    g = katetov_extend(space, [center], {center: rho})
-    return realize_point(space, g, validate=False)
+    return realize_point(space, {center: rho})
 
 
 def random_kn(rng: random.Random, k_hi=3) -> KNParams:
@@ -130,9 +129,7 @@ def random_outside_points(rng: random.Random, space: FiniteMetricSpace,
         rho = r + rand_fraction(rng, 0, r, den)
         anchor = rng.randrange(space.n)
         dac = space.d(anchor, center)
-        g = katetov_extend(space, [anchor, center],
-                           {anchor: rho + dac, center: rho})
-        space, _ = realize_point(space, g, validate=False)
+        space, _ = realize_point(space, {anchor: rho + dac, center: rho})
     return space
 
 

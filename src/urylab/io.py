@@ -23,7 +23,8 @@ def parse_rational(token: str) -> Fraction:
     p = _natural(num[1:] if negative else num)
     q = _natural(den) if slash else 1
     if p is None or q is None or q == 0:
-        raise ParseError(f"bad rational {token!r}: expected [-]p[/q]")
+        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
+        raise ParseError(f"bad rational {shown}: expected [-]p[/q]")
     return Fraction(-p if negative else p, q)
 
 

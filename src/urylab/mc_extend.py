@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .amalgam import katetov_extend, realize_point
+from .amalgam import realize_point
 from .core import FiniteMetricSpace, PartialMap, Rational, rat
 from .errors import PreconditionError
 from .moduli import MCSemigroup, PLFunction, require_modulus, star_condition
@@ -92,9 +92,7 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
     for y in range(rng_space.n):
         values[y] = min(rng_space.d(fz, y) + beta.value(dom_space.d(z, p))
                         for z, fz in f.pairs())
-    # katetov_extend has just validated these values on every point.
-    g = katetov_extend(rng_space, list(range(rng_space.n)), values)
-    grown, q = realize_point(rng_space, g, validate=False)
+    grown, q = realize_point(rng_space, values)
     new_map = f.extended(p, q)
     require_bicontinuous(new_map, dom_space, grown, alpha, beta)
     return McExtension(new_map, grown, q, grown.labels[q])
@@ -246,16 +244,13 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
                    for z in net)
             for y in targets}
         gap = gap_bound = None
-        support = list(values)
         if q_prev is not None:
             gap = max(abs(values[y] - rng_space.d(y, q_prev))
                       for y in targets)
             gap_bound = Fraction(2) ** (2 - n)
             assert gap < gap_bound
             values[q_prev] = gap
-            support.append(q_prev)
-        g = katetov_extend(rng_space, support, values)
-        rng_space, q = realize_point(rng_space, g, validate=True)
+        rng_space, q = realize_point(rng_space, values)
         # level map bicontinuous on net union {p}:
         level_map = PartialMap(tuple(net) + (p,), tuple(targets) + (q,))
         require_bicontinuous(level_map, dom_space, rng_space, alpha, beta)
@@ -296,17 +291,17 @@ class SeparationWitness:
     certificate: WitnessCertificate
 
 
-def separation_witness(gamma: PLFunction, delta: MCSemigroup, depth: int,
-                       space: Optional[FiniteMetricSpace] = None,
-                       base: Optional[int] = None) -> SeparationWitness:
+def separation_witness(gamma: PLFunction, delta: MCSemigroup,
+                       depth: int) -> SeparationWitness:
     """A finite map (2*gamma)-bicontinuous but beating every generator near 0.
 
-    Realizes points x_j -> x at chosen small scales t and partner points y_j
-    with d(y_j, x) = gamma(t), all spaced additively through x, so both
-    certificates are exact: d(y_j, x) > delta_i(d(x_j, x)) at each chosen
-    scale, while the map x_j -> y_j, x -> x stays (2*gamma)-bicontinuous on
-    every pair.  Requires gamma to exceed each generator on arbitrarily
-    small arguments, which for PL data is a first-slope comparison.
+    Starting from a one-point space {x}, realizes points x_j -> x at chosen
+    small scales t and partner points y_j with d(y_j, x) = gamma(t), all
+    spaced additively through x, so both certificates are exact:
+    d(y_j, x) > delta_i(d(x_j, x)) at each chosen scale, while the map
+    x_j -> y_j, x -> x stays (2*gamma)-bicontinuous on every pair.  Requires
+    gamma to exceed each generator on arbitrarily small arguments, which for
+    PL data is a first-slope comparison.
     """
     require_modulus(gamma, "gamma")
     bad = delta.validate()
@@ -319,11 +314,8 @@ def separation_witness(gamma: PLFunction, delta: MCSemigroup, depth: int,
             raise PreconditionError(
                 f"gamma is dominated near 0 by generator {i} "
                 f"(slope {gamma.first_slope} <= {gen.first_slope})")
-    if space is None:
-        space = FiniteMetricSpace.from_rows(("x",), ((0,),))
-        base = 0
-    if base is None:
-        raise PreconditionError("a base point is required with a given space")
+    space = FiniteMetricSpace.from_rows(("x",), ((0,),))
+    base = 0
 
     def first_knot(fn: PLFunction) -> Optional[Fraction]:
         return fn.breakpoints[1][0] if len(fn.breakpoints) > 1 else None
@@ -340,10 +332,8 @@ def separation_witness(gamma: PLFunction, delta: MCSemigroup, depth: int,
     checks: list[ScaleCheck] = []
     dom_idx, img_idx = [base], [base]
     for t in sorted(chosen, reverse=True):
-        gx = katetov_extend(space, [base], {base: t})
-        space, xj = realize_point(space, gx, validate=False)
-        gy = katetov_extend(space, [base], {base: gamma.value(t)})
-        space, yj = realize_point(space, gy, validate=False)
+        space, xj = realize_point(space, {base: t})
+        space, yj = realize_point(space, {base: gamma.value(t)})
         dom_idx.append(xj)
         img_idx.append(yj)
         for i in chosen[t]:

@@ -15,8 +15,8 @@ from urylab import (Ball, FiniteMetricSpace, MCSemigroup, PLFunction,
                     PartialMap, affine_constants, dist_L, dist_S,
                     dist_hat, extend_dense, extend_one_point,
                     extend_one_point_mc, extend_totally_bounded,
-                    glue_identity_check, is_compliant, katetov_extend,
-                    kn_admissible, linear, move_point_in_ball,
+                    glue_identity_check, is_compliant, kn_admissible,
+                    linear, move_point_in_ball,
                     necessity_counterexample, realize_point,
                     segment_transport_bound, separation_witness,
                     validate_space)
@@ -174,16 +174,15 @@ def test_criterion_08_move_constants():
             r = F(rng.randint(15, 60))
             s = r / 15
             bound = s * F(15, 16)
-            g = katetov_extend(space, [0], {0: F(rng.randint(1, 14), 16) * s})
-            space, u = realize_point(space, g)
+            space, u = realize_point(space,
+                                     {0: F(rng.randint(1, 14), 16) * s})
             rho_v = F(rng.randint(1, 14), 16) * s
             dxu = space.d(0, u)
             lo, hi = abs(rho_v - dxu), min(rho_v + dxu, bound)
             duv = lo + (hi - lo) * F(rng.randint(0, 8), 8)
             if duv == 0:
                 duv = hi
-            g = katetov_extend(space, [0, u], {0: rho_v, u: duv})
-            space, v = realize_point(space, g)
+            space, v = realize_point(space, {0: rho_v, u: duv})
             targets = []
             if i % 3 == 0:
                 space, w = random_point_in_ball(rng, space, Ball(0, s))

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urylab import (FiniteMetricSpace, PreconditionError, amalgamate,
                     katetov_extend, one_point_interval, realize_point,
                     validate_space)
-from urylab.amalgam import KatetovFunction, katetov_violations
+from urylab.amalgam import katetov_violations
 from urylab.core import Ball
 from urylab.gen import random_point_in_ball, random_space
 
@@ -120,14 +121,12 @@ def test_amalgamate_restriction_and_idempotence():
 
 def test_katetov_extend_shortest_path():
     w = _pair("a", "b", 2)
-    g = katetov_extend(w, [0], {0: 1})
-    assert g.values == (F(1), F(3))
+    assert katetov_extend(w, {0: 1}) == (F(1), F(3))
 
 
 def test_katetov_extend_full_support_is_identity():
     w = _pair("a", "b", 2)
-    g = katetov_extend(w, [0, 1], {0: 1, 1: 3})
-    assert g.values == (F(1), F(3))
+    assert katetov_extend(w, {0: 1, 1: 3}) == (F(1), F(3))
 
 
 def test_katetov_extend_doubling_identity():
@@ -136,34 +135,32 @@ def test_katetov_extend_doubling_identity():
         space = random_space(rng, 5)
         w0 = 4
         vals = {a: space.d(a, w0) for a in range(3)}
-        g = katetov_extend(space, range(3), vals)
-        assert g.values[w0] == min(2 * space.d(a, w0) for a in range(3))
-        assert not katetov_violations(space, dict(enumerate(g.values)))
+        g = katetov_extend(space, vals)
+        assert g[w0] == min(2 * space.d(a, w0) for a in range(3))
+        assert not katetov_violations(space, dict(enumerate(g)))
 
 
 def test_katetov_violation_reported():
     w = _pair("a", "b", 2)
     with pytest.raises(PreconditionError):
-        katetov_extend(w, [0, 1], {0: 1, 1: 10})
+        katetov_extend(w, {0: 1, 1: 10})
 
 
 def test_realize_zero_returns_existing_point():
     w = _pair("a", "b", 2)
-    g = KatetovFunction(w, (F(0), F(2)))
-    space, idx = realize_point(w, g)
+    space, idx = realize_point(w, {0: 0})
     assert space is w and idx == 0
 
 
 def test_realize_two_zeros_rejected():
     w = _pair("a", "b", 2)
     with pytest.raises(PreconditionError):
-        realize_point(w, KatetovFunction(w, (F(0), F(0))))
+        realize_point(w, {0: 0, 1: 0})
 
 
 def test_realize_worked_extension():
     w = _pair("a", "b", 2)
-    g = katetov_extend(w, [0], {0: 1})
-    grown, q = realize_point(w, g)
+    grown, q = realize_point(w, {0: 1})
     assert grown.labels == ("a", "b", "q1")
     assert grown.d(q, 0) == 1 and grown.d(q, 1) == 3
     assert validate_space(grown).ok
@@ -173,10 +170,42 @@ def test_realize_chain_construction():
     space = FiniteMetricSpace.from_rows(("p0",), ((0,),))
     step = F(3, 2)
     for k in range(1, 6):
-        g = katetov_extend(space, [space.n - 1], {space.n - 1: step})
-        space, _ = realize_point(space, g)
+        space, _ = realize_point(space, {space.n - 1: step})
         assert validate_space(space).ok
     assert space.d(0, space.n - 1) == 5 * step
+
+
+@st.composite
+def prescriptions(draw):
+    """A random space and a one-point prescription on part of it.
+
+    A prescription read off a hidden extra point is valid on any support;
+    freely drawn values are often invalid.  Each draw picks one of the two.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(1, 7))
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    if draw(st.booleans()):
+        full = random_space(rng, n + 1)
+        space = FiniteMetricSpace(full.labels[:n],
+                                  tuple(row[:n] for row in full.dist[:n]))
+        return space, {a: full.d(a, n) for a in support}
+    space = random_space(rng, n)
+    return space, {a: F(draw(st.integers(0, 40)), 8) for a in support}
+
+
+@settings(max_examples=300, deadline=None)
+@given(prescriptions())
+def test_realize_point_fills_any_valid_prescription(case):
+    space, values = case
+    if katetov_violations(space, values):
+        with pytest.raises(PreconditionError):
+            realize_point(space, values)
+        return
+    grown, q = realize_point(space, values)
+    assert validate_space(grown).ok
+    assert all(grown.d(q, a) == v for a, v in values.items())
+    assert tuple(row[:space.n] for row in grown.dist[:space.n]) == space.dist
 
 
 def test_realize_after_extend_fuzz():

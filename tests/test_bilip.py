@@ -10,8 +10,8 @@ from urylab import (Ball, DegenerateInputError, ExtensionTrace,
                     FiniteMetricSpace, PartialMap, PreconditionError,
                     affine_constants, bilip, extend_dense, extend_one_point,
                     glue_identity_check, goodness_check, io, is_compliant,
-                    katetov_extend, kn_admissible, move_point_in_ball,
-                    realize_point, segment_transport_bound, validate_space)
+                    kn_admissible, move_point_in_ball, realize_point,
+                    segment_transport_bound, validate_space)
 from urylab.cli import verify_trace_lines
 from urylab.gen import (random_compliant_instance, random_outside_points,
                         random_point_in_ball)
@@ -141,6 +141,13 @@ def test_dense_and_replay_certify_the_seed_map(setup):
         False, str(single.value))
 
 
+@pytest.mark.parametrize("setup", [noncompliant_setup, not_bigood_setup])
+def test_dense_certifies_the_seed_map_without_targets(setup):
+    space, f, ball, kn, _ = setup()
+    with pytest.raises(PreconditionError):
+        extend_dense(f, ball, kn, [], space)
+
+
 # Solver outputs for the worked instance (d_1 = d(x, x1) = 1, r = 10,
 # K = 2, N = 4), each breaking one postcondition of the step.
 @pytest.mark.parametrize("e, s, error", [
@@ -153,7 +160,7 @@ def test_step_postcondition_rejects_broken_solve(e, s, error, monkeypatch):
     realized = []
     monkeypatch.setattr(bilip, "_solve_new_distances",
                         lambda *args, **kw: (list(e), s, []))
-    monkeypatch.setattr(bilip, "realize_point",
+    monkeypatch.setattr(FiniteMetricSpace, "with_point",
                         lambda *args, **kw: realized.append(args))
     space, ball, kn, f = worked_setup()
     with pytest.raises(error):
@@ -303,8 +310,7 @@ def test_glue_shrunk_ball_fails_with_mixed_witness():
     # just beyond it sits too close to the displaced pair
     space, ball, kn, f = worked_setup()
     f, space, _ = extend_one_point(f, ball, kn, 1, "domain", space)
-    g = katetov_extend(space, [1], {1: F(33, 16)})
-    space, w = realize_point(space, g)
+    space, w = realize_point(space, {1: F(33, 16)})
     assert space.d(0, w) == F(49, 16)
     small = Ball(0, F(49, 16))
     report = glue_identity_check(f, small, kn, space)
@@ -317,10 +323,8 @@ def test_glue_shrunk_ball_fails_with_mixed_witness():
 
 def move_setup():
     space = FiniteMetricSpace.from_rows(("x",), ((0,),))
-    g = katetov_extend(space, [0], {0: F(1, 2)})
-    space, u = realize_point(space, g)
-    g = katetov_extend(space, [0, u], {0: F(1, 2), u: F(3, 4)})
-    space, v = realize_point(space, g)
+    space, u = realize_point(space, {0: F(1, 2)})
+    space, v = realize_point(space, {0: F(1, 2), u: F(3, 4)})
     return space, u, v
 
 
@@ -348,10 +352,24 @@ def test_move_point_identity_branch():
     assert res.map.image_of(u) == u
 
 
+def test_move_point_certifies_its_seed_map_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_compliant(*args)
+
+    monkeypatch.setattr(bilip, "is_compliant", counted)
+    space, u, v = move_setup()
+    space, w = random_point_in_ball(random.Random(3), space, Ball(0, F(1)))
+    res = move_point_in_ball(space, 0, 15, u, v, targets=[w])
+    assert len(res.trace.steps) == 2
+    assert len(calls) == 1
+
+
 def test_move_point_boundary_rejected():
     space = FiniteMetricSpace.from_rows(("x",), ((0,),))
-    g = katetov_extend(space, [0], {0: F(1)})
-    space, u = realize_point(space, g)
+    space, u = realize_point(space, {0: F(1)})
     with pytest.raises(PreconditionError):
         move_point_in_ball(space, 0, 15, u, u)  # d(u, x) = 1 = r/15 exactly
 

@@ -8,8 +8,14 @@ import pytest
 
 from urylab import (Ball, DegenerateInputError, FiniteMetricSpace, PartialMap,
                     PreconditionError, StructuralError, goodness_check,
-                    lip_constant, validate_space)
+                    lip_constant, rat, validate_space)
 from urylab.gen import random_space
+
+
+@pytest.mark.parametrize("value", ["1/2", 0.5])
+def test_rat_rejects_inexact_and_text_values(value):
+    with pytest.raises(TypeError):
+        rat(value)
 
 
 def brute_force_metric_check(dist):

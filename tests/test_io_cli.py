@@ -84,6 +84,34 @@ def test_parse_rational_rejects_digits_int_cannot_convert():
         io.parse_rational("1/" + "9" * (limit + 1))
 
 
+def test_parse_rational_quotes_at_most_40_characters():
+    with pytest.raises(ParseError, match=r"^bad rational '1e3': expected"):
+        io.parse_rational("1e3")
+    token = "1" * 39 + "x"
+    with pytest.raises(ParseError) as short:
+        io.parse_rational(token)
+    assert str(short.value) == f"bad rational '{token}': expected [-]p[/q]"
+    with pytest.raises(ParseError) as long:
+        io.parse_rational(token + "2")
+    assert str(long.value) == f"bad rational '{token}'...: expected [-]p[/q]"
+    with pytest.raises(ParseError) as huge:
+        io.parse_rational("9" * 100_000)
+    assert len(str(huge.value)) < 100
+
+
+def test_cli_huge_radius_token_is_short_parse_error(tmp_path, capsys):
+    space = tmp_path / "s.ums"
+    space.write_text(WORKED_UMS)
+    fmap = tmp_path / "f.map"
+    fmap.write_text(WORKED_MAP)
+    rc = main([str(a) for a in (
+        "extend-bilip", space, fmap, "--center", "x1", "--radius",
+        "9" * 100_000, "--K", "2", "--N", "4", "--target", "x")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("parse error:")
+    assert len(err) < 200
+
+
 def test_trace_replay_lives_in_bilip():
     assert cli.verify_trace_lines is bilip.verify_trace_lines
 

@@ -38,8 +38,8 @@ def test_isometry_case_reduces_to_shortest_path_point():
     f = PartialMap((0, 1, 2, 3), (0, 1, 2, 3))
     ident = linear(1)
     ext = extend_one_point_mc(f, X, Y, ident, ident, p)
-    g = katetov_extend(Y, range(4), {y: X.d(y, p) for y in range(4)})
-    assert tuple(ext.rng_space.dist[ext.q][:4]) == g.values
+    g = katetov_extend(Y, {y: X.d(y, p) for y in range(4)})
+    assert tuple(ext.rng_space.dist[ext.q][:4]) == g
     # equality bounds force an isometry on checked pairs
     for z in range(4):
         assert ext.rng_space.d(ext.q, z) == X.d(p, z)
