@@ -103,12 +103,10 @@ class ExtensionStep:
     target: int
     target_label: str
     noop: bool
-    solves: tuple[SolveRecord, ...]
-    s: Optional[Fraction]
-    realized: Optional[int]
-    realized_label: Optional[str]
-    g_bound: Optional[Fraction]    # min((r - d_1)/N, (r - e_1)/N)
-    g_worst: Optional[Fraction]    # max_m |e_m - s_m|
+    solves: tuple[SolveRecord, ...] = ()
+    s: Optional[Fraction] = None
+    realized: Optional[int] = None
+    realized_label: Optional[str] = None
 
 
 @dataclass
@@ -201,8 +199,6 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
         if m == 0:
             cap_e = (r - chosen) / N
     s = min(min(e[i] + sv[i] for i in range(n)), cap_d, cap_e)
-    # The new pair's goodness margin caps |e_m - s_m| exactly.
-    assert all(abs(e[m] - sv[m]) <= min(cap_d, cap_e) for m in range(n))
     return e, s, records
 
 
@@ -210,26 +206,32 @@ def _certify_seed(f: PartialMap, ball: Ball, kn: KNParams,
                   space: FiniteMetricSpace) -> None:
     """Full O(n^2) certificate of the map an extension run starts from.
 
-    Checks that (K, N) is admissible, that f fixes the ball center and that
-    f is (K, N)-compliant; every later step of the run proves only its new
-    row.
+    Checks that f fixes the ball center and that f is (K, N)-compliant for
+    an admissible (K, N); a failure names its witness.  Every later step of
+    the run proves only its new row.
     """
-    if not kn.admissible:
-        raise PreconditionError(f"(K, N) = ({kn.K}, {kn.N}) not admissible")
-    center = ball.center
-    if center not in f.domain or f.image_of(center) != center:
+    if ball.center not in f.domain or f.image_of(ball.center) != ball.center:
         raise PreconditionError("map must fix the ball center")
     cert = is_compliant(f, ball, kn, space)
-    if not cert.ok:
-        raise PreconditionError(
-            "map is not (K, N)-compliant on input: "
-            + ("stretch" if not cert.lip_ok else "goodness") + " bound fails")
+    good, name = cert.goodness, space.labels
+    if not cert.lip_ok:
+        a, b = cert.lip_witness
+        why = (f"stretch bound fails at ({name[a]!r}, {name[b]!r}): "
+               f"ratio {cert.lip_value} > K = {kn.K}")
+    elif good.forward_slack < 0:
+        why = (f"goodness bound fails at domain point "
+               f"{name[good.forward_witness]!r}: slack {good.forward_slack}")
+    elif not good.ok:
+        why = (f"goodness bound fails at range point "
+               f"{name[good.backward_witness]!r}: slack {good.backward_slack}")
+    else:
+        return
+    raise PreconditionError(f"map is not (K, N)-compliant on input: {why}")
 
 
 def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
                      side: str, space: FiniteMetricSpace,
                      policy: ChoicePolicy = "midpoint",
-                     forced: Optional[Sequence[Fraction]] = None,
                      ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """Add x to the map's domain (or range), preserving compliance.
 
@@ -241,8 +243,8 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
     """
     if side not in ("domain", "range"):
         raise PreconditionError(f"side must be 'domain' or 'range', got {side!r}")
-    _certify_seed(f if side == "domain" else f.inverse(), ball, kn, space)
-    return _extend_step(f, ball, kn, x, side, space, policy, forced)
+    _certify_seed(f, ball, kn, space)
+    return _extend_step(f, ball, kn, x, side, space, policy)
 
 
 def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
@@ -300,9 +302,7 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
             f"new point {space.labels[x]!r} not strictly inside the ball")
     work = f if side == "domain" else f.inverse()
     if x in work.domain:
-        step = ExtensionStep(side, x, space.labels[x], True, (), None, None,
-                             None, None, None)
-        return f, space, step
+        return f, space, ExtensionStep(side, x, space.labels[x], True)
 
     center = ball.center
     pairs = [(center, center)] + [p for p in work.pairs() if p[0] != center]
@@ -317,12 +317,8 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
 
     new_work = work.extended(x, y)
     new_map = new_work if side == "domain" else new_work.inverse()
-    sv = [space.d(x, yi) for _, yi in pairs]
-    cap = min((ball.radius - space.d(x, center)) / kn.N,
-              (ball.radius - e[0]) / kn.N)
-    worst = max(abs(ei - si) for ei, si in zip(e, sv))
     step = ExtensionStep(side, x, space.labels[x], False, tuple(records), s,
-                         y, grown.labels[y], cap, worst)
+                         y, grown.labels[y])
     return new_map, grown, step
 
 
@@ -477,10 +473,6 @@ def move_point_in_ball(space: FiniteMetricSpace, x: int, r: Rational,
     space, y = realize_point(space, {x: 3 * s})
     ball = Ball(y, 12 * s)
     duy, dvy = space.d(u, y), space.d(v, y)
-    assert 2 * s < duy < 4 * s and 2 * s < dvy < 4 * s
-    duv = space.d(u, v)
-    assert duv < (12 * s - duy) / 4 and duv < (12 * s - dvy) / 4
-
     seed = PartialMap((y, u), (y, v))
     fmap, space, trace = extend_dense(seed, ball, kn, targets, space, policy)
 

@@ -48,8 +48,14 @@ def _load_space(path: str) -> FiniteMetricSpace:
     return io.parse_space(_read(path))
 
 
-def _ball(space: FiniteMetricSpace, center: str, radius: str) -> Ball:
-    return Ball(space.index(center), io.parse_rational(radius))
+def _load_extension(args):
+    """Space, map, ball, (K, N) and targets for extend-bilip, verify-trace."""
+    space = _load_space(args.space)
+    fmap = io.parse_map(_read(args.map), space)
+    ball = Ball(space.index(args.center), io.parse_rational(args.radius))
+    kn = kn_admissible(io.parse_rational(args.K), io.parse_rational(args.N))
+    targets = [space.index(t) for t in args.target]
+    return space, fmap, ball, kn, targets
 
 
 def cmd_validate(args) -> int:
@@ -77,11 +83,7 @@ def cmd_amalgamate(args) -> int:
 
 
 def cmd_extend_bilip(args) -> int:
-    space = _load_space(args.space)
-    fmap = io.parse_map(_read(args.map), space)
-    ball = _ball(space, args.center, args.radius)
-    kn = kn_admissible(io.parse_rational(args.K), io.parse_rational(args.N))
-    targets = [space.index(t) for t in args.target]
+    space, fmap, ball, kn, targets = _load_extension(args)
     fmap, space, trace = extend_dense(fmap, ball, kn, targets, space,
                                       policy=args.policy)
     cert = is_compliant(fmap, ball, kn, space)
@@ -95,11 +97,7 @@ def cmd_extend_bilip(args) -> int:
 
 
 def cmd_verify_trace(args) -> int:
-    space = _load_space(args.space)
-    fmap = io.parse_map(_read(args.map), space)
-    ball = _ball(space, args.center, args.radius)
-    kn = kn_admissible(io.parse_rational(args.K), io.parse_rational(args.N))
-    targets = [space.index(t) for t in args.target]
+    space, fmap, ball, kn, targets = _load_extension(args)
     lines = io.parse_trace(_read(args.trace))
     ok, message = verify_trace_lines(space, fmap, ball, kn, targets, lines)
     _emit(("ok: " if ok else "FAIL: ") + message + "\n", args.out)
@@ -211,6 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", help="also write the report to this path")
 
+    def add_ball(p):
+        for name in ("--center", "--radius", "--K", "--N"):
+            p.add_argument(name, required=True)
+
     p = sub.add_parser("validate", help="check the metric axioms of a space")
     p.add_argument("space")
     add_out(p)
@@ -228,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="back-and-forth compliant extension; emits a trace")
     p.add_argument("space")
     p.add_argument("map")
-    p.add_argument("--center", required=True)
-    p.add_argument("--radius", required=True)
-    p.add_argument("--K", required=True)
-    p.add_argument("--N", required=True)
+    add_ball(p)
     p.add_argument("--policy", default="midpoint",
                    choices=("midpoint", "minimal", "maximal"))
     p.add_argument("--target", action="append", default=[], required=True)
@@ -243,10 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("space")
     p.add_argument("map")
-    p.add_argument("--center", required=True)
-    p.add_argument("--radius", required=True)
-    p.add_argument("--K", required=True)
-    p.add_argument("--N", required=True)
+    add_ball(p)
     p.add_argument("--target", action="append", default=[])
     add_out(p)
     p.set_defaults(func=cmd_verify_trace)
@@ -311,7 +307,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, StructuralError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 3
-    except (PreconditionError, InfeasibleError) as exc:
+    except (PreconditionError, InfeasibleError, ValueError) as exc:
+        # A result past the int -> str digit limit cannot be reported.
+        if (isinstance(exc, ValueError)
+                and "integer string conversion" not in str(exc)):
+            raise
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .amalgam import realize_point
+from .amalgam import katetov_extend, realize_point
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
 from .core import FiniteMetricSpace, PartialMap, rat
@@ -75,14 +75,13 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
         dab = space.d(a, b)
         lo, hi = abs(rho_a - dab), rho_a + dab
         rho_b = rand_fraction(rng, lo, hi, den)
-        if rho_b <= 0 or rho_b < lo or rho_b > hi:
+        if rho_b <= 0:
             continue
-        try:
-            grown, x = realize_point(space, {a: rho_a, b: rho_b})
-        except PreconditionError:
-            continue
-        if grown.d(center, x) < r:
-            return grown, x
+        # rho_b lies in [lo, hi], so the prescription is valid; both values
+        # are positive, so the filled row is too.
+        full = katetov_extend(space, {a: rho_a, b: rho_b})
+        if full[center] < r:
+            return space.with_point(space.fresh_label(), full), space.n
     rho = rand_fraction(rng, r / (2 * den), r * Fraction(den - 1, den), den)
     if rho <= 0 or rho >= r:
         rho = r / 2

@@ -78,23 +78,28 @@ def dist_n(f: AutoMap, g: AutoMap, n: int) -> Fraction:
                 if space.d(i, x0) < n), default=Fraction(0))
 
 
-def _stable_index(space: FiniteMetricSpace, x0: int) -> int:
-    """Smallest n with every point strictly inside B(x0, n)."""
-    reach = max(space.d(i, x0) for i in range(space.n))
-    return math.floor(reach) + 1
+RADIUS_BOUND = 2 ** 16  # a rise past it needs a denominator past 2^65536
 
 
 def dist_S(f: AutoMap, g: AutoMap) -> Fraction:
     """Sum over n >= 1 of dist_n / 2^n, in exact closed form.
 
-    On a finite space dist_n stabilizes once the ball swallows every point,
-    so the tail collapses to a geometric series.
+    dist_n can rise only at a radius k = floor(d(x, x0)) + 1 of a point x,
+    and a rise rho there adds rho * 2^(1-k): one pass over the points
+    sorted by k sums the rises.
     """
     _same_frame(f, g)
-    n0 = _stable_index(f.space, f.basepoint)
-    total = sum((dist_n(f, g, n) / Fraction(2) ** n for n in range(1, n0)),
-                Fraction(0))
-    return total + dist_n(f, g, n0) * Fraction(2) ** (1 - n0)
+    space, x0 = f.space, f.basepoint
+    total = top = Fraction(0)
+    for k, i in sorted((math.floor(space.d(i, x0)) + 1, i)
+                       for i in range(space.n)):
+        moved = space.d(f(i), g(i))
+        if moved > top:
+            if k > RADIUS_BOUND:
+                raise PreconditionError(f"displacement rises at radius {k} "
+                                        f"> {RADIUS_BOUND}")
+            total, top = total + (moved - top) / 2 ** (k - 1), moved
+    return total
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,16 @@ class GroupDistance:
         return self.stretch >= other.stretch and self.series >= other.series
 
     def display(self) -> float:
-        return max(math.log(float(self.stretch)), float(self.series))
+        """max(log(stretch), series); past float range log p - log q, inf."""
+        try:
+            log_stretch = math.log(float(self.stretch))
+        except OverflowError:
+            p, q = self.stretch.as_integer_ratio()
+            log_stretch = math.log(p) - math.log(q)
+        try:
+            return max(log_stretch, float(self.series))
+        except OverflowError:
+            return math.inf
 
 
 def dist_hat(f: AutoMap, g: AutoMap) -> GroupDistance:

@@ -250,13 +250,12 @@ def _star_on_box(alpha: PLFunction, beta: PLFunction, bound: Fraction,
     return worst
 
 
-def _tail_witness(alpha: PLFunction, beta: PLFunction, direction: int
-                  ) -> Optional[tuple]:
+def _tail_witness(alpha: PLFunction, beta: PLFunction) -> Optional[tuple]:
     """Violation with s beyond every knot, where the deficit is beta(t) - t/fs(alpha).
 
     Exists iff final_slope(alpha) * final_slope(beta) < 1; both sides are
     eventually linear, so one comparison of tail slopes settles all large
-    arguments.
+    arguments.  The test is symmetric, so it settles the mirror direction too.
     """
     ainv = alpha.inverse()
     lam = ainv.final_slope                      # max slope of the convex inverse
@@ -270,7 +269,7 @@ def _tail_witness(alpha: PLFunction, beta: PLFunction, direction: int
     lhs = ainv.value(s) + beta.value(t)
     rhs = ainv.value(s + t)
     assert lhs < rhs
-    return (s, t, lhs, rhs, direction)
+    return (s, t, lhs, rhs, 1)
 
 
 def star_condition(alpha: PLFunction, beta: PLFunction,
@@ -302,11 +301,6 @@ def compatible(alpha: PLFunction, beta: PLFunction,
     require_modulus(beta)
     box = max(rat(bound), alpha.inverse().last_knot, beta.last_knot,
               beta.inverse().last_knot, alpha.last_knot)
-    hit = _star_on_box(alpha, beta, box, 1)
-    if hit is None:
-        hit = _star_on_box(beta, alpha, box, 2)
-    if hit is None:
-        hit = _tail_witness(alpha, beta, 1)
-    if hit is None:
-        hit = _tail_witness(beta, alpha, 2)
+    hit = (_star_on_box(alpha, beta, box, 1)
+           or _star_on_box(beta, alpha, box, 2) or _tail_witness(alpha, beta))
     return CompatibilityReport(hit is None, hit, box)

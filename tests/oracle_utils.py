@@ -101,9 +101,30 @@ def assert_pairwise_bounds(step):
                 assert lo <= hi
 
 
-def assert_condition_g(step):
-    assert step.g_worst is not None
-    assert step.g_worst <= step.g_bound
+def assert_condition_g(trace, seed, ball, kn, space):
+    """Condition (G) of every step of a trace, read off the final matrix.
+
+    Walks the trace from the seed map.  A step adds its target x and the
+    realized partner y; every pair (x_m, y_m) of the map before the step,
+    taken on the step's side, must satisfy
+    |d(y, y_m) - d(x, y_m)| <= min(r - d(x, c), r - d(y, c)) / N.
+    Returns the map the walk ends with.
+    """
+    r, c = ball.radius, ball.center
+    current = seed
+    for step in trace.steps:
+        if step.noop:
+            continue
+        x, y = step.target, step.realized
+        work = current if step.side == "domain" else current.inverse()
+        cap = min(r - space.d(x, c), r - space.d(y, c)) / kn.N
+        for _, ym in work.pairs():
+            assert abs(space.d(y, ym) - space.d(x, ym)) <= cap, (
+                f"condition (G) fails for {space.labels[x]!r} -> "
+                f"{space.labels[y]!r} against {space.labels[ym]!r}")
+        new_work = work.extended(x, y)
+        current = new_work if step.side == "domain" else new_work.inverse()
+    return current
 
 
 def center_first_pairs(f, center):

@@ -91,11 +91,11 @@ def test_criterion_03_compliance_preservation():
                 space, x = random_point_in_ball(rng, space, ball)
                 targets.append(x)
             final, space, trace = extend_dense(f, ball, kn, targets, space)
+            assert_condition_g(trace, f, ball, kn, space)
             current = f
             for step in trace.steps:
                 if step.noop:
                     continue
-                assert_condition_g(step)
                 if step.side == "domain":
                     current = current.extended(step.target, step.realized)
                 else:

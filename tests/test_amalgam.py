@@ -215,3 +215,53 @@ def test_realize_after_extend_fuzz():
         ball = Ball(0, space.diameter() + 2)
         space, _ = random_point_in_ball(rng, space, ball)
         assert validate_space(space).ok
+
+
+def realize_then_test(rng, space, ball, den=16):
+    """Reference two-anchor draw: realize each candidate, then test it."""
+    from urylab.gen import rand_fraction
+    center, r = ball.center, ball.radius
+    for _ in range(3):
+        if space.n < 2:
+            break
+        a, b = rng.sample(range(space.n), 2)
+        rho_a = rand_fraction(rng, F(1, den), r, den)
+        dab = space.d(a, b)
+        lo, hi = abs(rho_a - dab), rho_a + dab
+        rho_b = rand_fraction(rng, lo, hi, den)
+        if rho_b <= 0 or rho_b < lo or rho_b > hi:
+            continue
+        try:
+            grown, x = realize_point(space, {a: rho_a, b: rho_b})
+        except PreconditionError:
+            continue
+        if grown.d(center, x) < r:
+            return grown, x
+    rho = rand_fraction(rng, r / (2 * den), r * F(den - 1, den), den)
+    if rho <= 0 or rho >= r:
+        rho = r / 2
+    return realize_point(space, {center: rho})
+
+
+def test_random_point_in_ball_appends_only_the_accepted_row(monkeypatch):
+    appends = []
+    with_point = FiniteMetricSpace.with_point
+
+    def counting(self, label, row):
+        appends.append(label)
+        return with_point(self, label, row)
+
+    for seed in range(20):
+        rng, twin = random.Random(seed), random.Random(seed)
+        space = random_space(rng, rng.randint(2, 7))
+        twin.setstate(rng.getstate())
+        # a small ball, so that some two-anchor candidates land outside
+        ball = Ball(0, space.diameter() / 3)
+        want = realize_then_test(twin, space, ball)
+        monkeypatch.setattr(FiniteMetricSpace, "with_point", counting)
+        appends.clear()
+        got = random_point_in_ball(rng, space, ball)
+        monkeypatch.setattr(FiniteMetricSpace, "with_point", with_point)
+        assert got == want
+        assert rng.getstate() == twin.getstate()
+        assert len(appends) == 1

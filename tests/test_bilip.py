@@ -141,6 +141,39 @@ def test_dense_and_replay_certify_the_seed_map(setup):
         False, str(single.value))
 
 
+def test_seed_certificate_names_the_stretch_witness():
+    space, bad, ball, kn, x = noncompliant_setup()
+    with pytest.raises(PreconditionError) as exc:
+        extend_dense(bad, ball, kn, [x], space)
+    assert str(exc.value) == ("map is not (K, N)-compliant on input: stretch "
+                              "bound fails at ('x1', 'a'): ratio 3 > K = 2")
+
+
+def test_seed_certificate_names_the_domain_goodness_witness():
+    space, f, ball, kn, x = not_bigood_setup()
+    with pytest.raises(PreconditionError) as exc:
+        extend_dense(f, ball, kn, [x], space)
+    # d(a, fa) = 3 against (5/2 - 2)/4 = 1/8
+    assert str(exc.value) == ("map is not (K, N)-compliant on input: "
+                              "goodness bound fails at domain point 'a': "
+                              "slack -23/8")
+
+
+def test_seed_certificate_names_the_range_goodness_witness():
+    # a sits at 1 from the center and fa at 2, 1 apart: with r = 11/2 and
+    # N = 4, a passes (9/8 >= 1) but fa does not (7/8 < 1)
+    space = FiniteMetricSpace.from_rows(
+        ("x1", "a", "fa"), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+    f = PartialMap((0, 1), (0, 2))
+    ball, kn = Ball(0, F(11, 2)), kn_admissible(2, 4)
+    message = ("map is not (K, N)-compliant on input: goodness bound fails "
+               "at range point 'fa': slack -1/8")
+    with pytest.raises(PreconditionError) as exc:
+        extend_dense(f, ball, kn, [], space)
+    assert str(exc.value) == message
+    assert verify_trace_lines(space, f, ball, kn, [], []) == (False, message)
+
+
 @pytest.mark.parametrize("setup", [noncompliant_setup, not_bigood_setup])
 def test_dense_certifies_the_seed_map_without_targets(setup):
     space, f, ball, kn, _ = setup()
@@ -222,15 +255,15 @@ def test_extend_dense_preserves_compliance_and_condition_g():
         for _ in range(4):
             space, x = random_point_in_ball(rng, space, ball)
             targets.append(x)
+        seed = f
         f, space, trace = extend_dense(f, ball, kn, targets, space,
                                        policy=rng.choice(
                                            ("midpoint", "minimal", "maximal")))
-        running = None
         for step in trace.steps:
             if step.noop:
                 continue
             assert_pairwise_bounds(step)
-            assert_condition_g(step)
+        assert assert_condition_g(trace, seed, ball, kn, space) == f
         for x in targets:
             assert x in f.domain and x in f.images
         assert is_compliant(f, ball, kn, space).ok
@@ -253,10 +286,9 @@ def test_extend_dense_over_epsilon_net():
     net = chain[::2]
     for x in chain:
         assert any(space.d(x, z) <= F(1, 2) for z in net)
+    seed = f
     f, space, trace = extend_dense(f, ball, kn, net, space)
-    for step in trace.steps:
-        if not step.noop:
-            assert_condition_g(step)
+    assert assert_condition_g(trace, seed, ball, kn, space) == f
     assert is_compliant(f, ball, kn, space).ok
     for x in net:
         assert x in f.domain and x in f.images
@@ -275,11 +307,10 @@ def test_boundary_policies_stay_feasible_over_long_runs():
             for _ in range(6):
                 space, x = random_point_in_ball(rng, space, ball)
                 targets.append(x)
+            seed = f
             f, space, trace = extend_dense(f, ball, kn, targets, space,
                                            policy=policy)
-            for step in trace.steps:
-                if not step.noop:
-                    assert_condition_g(step)
+            assert assert_condition_g(trace, seed, ball, kn, space) == f
             assert is_compliant(f, ball, kn, space).ok
 
 

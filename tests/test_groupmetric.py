@@ -1,14 +1,16 @@
 """Exact semimetrics on total bijections of a finite workspace."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from urylab import (AutoMap, PreconditionError, dist_L, dist_S, dist_hat,
-                    dist_n)
+from urylab import (AutoMap, FiniteMetricSpace, GroupDistance,
+                    PreconditionError, dist_L, dist_S, dist_hat, dist_n)
 from urylab.errors import StructuralError
 from urylab.gen import line_space, random_permutation_map, random_space
+from urylab.groupmetric import RADIUS_BOUND
 
 
 def small_space():
@@ -72,7 +74,6 @@ def test_dist_S_geometric_series_collapses():
 def test_dist_S_closed_form_matches_truncated_series():
     rng = random.Random(23)
     space = random_space(rng, 8)
-    import math
     n0 = math.floor(max(space.d(i, 0) for i in range(8))) + 1
     for _ in range(15):
         f = random_permutation_map(rng, space)
@@ -81,6 +82,59 @@ def test_dist_S_closed_form_matches_truncated_series():
                      F(0))
         tail_cap = dist_n(f, g, n0) * F(1, 2 ** (n0 + 39))
         assert 0 <= dist_S(f, g) - direct <= tail_cap
+
+
+def stabilized_scan(f, g):
+    """The series by radius: dist_n for n < n0, then a geometric tail from
+    n0, the first radius whose ball holds every point."""
+    space, x0 = f.space, f.basepoint
+    n0 = math.floor(max(space.d(i, x0) for i in range(space.n))) + 1
+    head = sum((dist_n(f, g, n) / F(2) ** n for n in range(1, n0)), F(0))
+    return head + dist_n(f, g, n0) * F(2) ** (1 - n0)
+
+
+def test_dist_S_sorted_pass_matches_the_radius_scan():
+    rng = random.Random(47)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        space = random_space(rng, n, scale=rng.choice((1, 4, 20)),
+                             den=rng.choice((1, 3, 8)))
+        base = rng.randrange(n)
+        f = random_permutation_map(rng, space, base)
+        g = random_permutation_map(rng, space, base)
+        assert dist_S(f, g) == stabilized_scan(f, g)
+
+
+def far_pair(radius):
+    """Basepoint a; b and c at ``radius`` from a and 1 apart, swapped by f."""
+    space = FiniteMetricSpace.from_rows(
+        ("a", "b", "c"), ((0, radius, radius), (radius, 0, 1),
+                          (radius, 1, 0)))
+    return AutoMap(space, (0, 2, 1)), AutoMap.identity(space)
+
+
+def test_dist_S_bounds_the_radius_of_a_rise():
+    f, g = far_pair(RADIUS_BOUND - 1)      # the rise sits at radius 2^16
+    assert dist_S(f, g) == F(1, 2 ** (RADIUS_BOUND - 1))
+    f, g = far_pair(RADIUS_BOUND)
+    with pytest.raises(PreconditionError, match="radius 65537"):
+        dist_S(f, g)
+    # b enters at radius 2 and moves by R; c, far out, moves by R too, which
+    # is no rise, so the bound does not apply to it
+    R = 10 ** 400
+    space = FiniteMetricSpace.from_rows(
+        ("a", "b", "c"), ((0, 1, R), (1, 0, R), (R, R, 0)))
+    f, g = AutoMap(space, (0, 2, 1)), AutoMap.identity(space)
+    assert dist_S(f, g) == F(R, 2)
+
+
+def test_display_survives_float_overflow():
+    huge = F(10 ** 400)
+    assert GroupDistance(F(3), F(1, 2)).display() == max(math.log(3.0), 0.5)
+    assert GroupDistance(huge, F(0)).display() == pytest.approx(
+        400 * math.log(10))
+    assert GroupDistance(F(1), huge).display() == math.inf
+    assert GroupDistance(F(1), 1 / huge).display() == 0
 
 
 def test_dist_S_triangle_exact():

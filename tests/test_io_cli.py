@@ -1,10 +1,16 @@
 """Text formats, round trips, CLI exit codes, and trace verification."""
 
+import contextlib
 import random
 import sys
+import tempfile
+import time
 from fractions import Fraction as F
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urylab import bilip, cli, io
 from urylab.bilip import Ball, extend_dense, kn_admissible
@@ -359,3 +365,163 @@ def test_cli_unwritable_out_is_parse_error(tmp_path, capsys):
     out = tmp_path / "missing" / "report.txt"
     assert_parse_error(main(["validate", str(space), "--out", str(out)]),
                        capsys)
+
+
+SWAP_BC = "pair a a\npair b c\npair c b\n"
+IDENTITY_ABC = "pair a a\npair b b\npair c c\n"
+
+
+def group_dist(tmp_path, rows, *extra):
+    """group-dist on a 3-point space, f swapping b and c, g the identity."""
+    space = tmp_path / "s.ums"
+    space.write_text("points 3\nlabels a b c\n"
+                     + "".join("row " + " ".join(map(str, row)) + "\n"
+                               for row in rows))
+    f = tmp_path / "f.map"
+    f.write_text(SWAP_BC)
+    g = tmp_path / "g.map"
+    g.write_text(IDENTITY_ABC)
+    return run_cli(tmp_path, "group-dist", space, f, g, "--basepoint", "a",
+                   *extra)
+
+
+def far_rows(radius):
+    return ((0, 1, radius), (1, 0, radius), (radius, radius, 0))
+
+
+def test_cli_group_dist_far_point_in_closed_form(tmp_path, capsys):
+    start = time.monotonic()
+    assert group_dist(tmp_path, far_rows(100_000)) == 0
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().out == (
+        "lip 100000\ndS 50000\nzero false\ndisplay 50000.000000\n"
+        "d1 0\nd2 100000\nd3 100000\n")
+    assert group_dist(tmp_path, far_rows(3_000_000)) == 0
+    assert "dS 1500000\n" in capsys.readouterr().out
+
+
+def test_cli_group_dist_rise_past_the_radius_bound_exits_2(tmp_path, capsys):
+    far = 10 ** 6
+    rows = ((0, far, far), (far, 0, 1), (far, 1, 0))
+    assert group_dist(tmp_path, rows) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: displacement rises at radius 1000001 > 65536\n")
+
+
+def test_cli_group_dist_display_beyond_float_range(tmp_path, capsys):
+    big = 10 ** 400
+    assert group_dist(tmp_path, far_rows(big)) == 0
+    assert "display inf\n" in capsys.readouterr().out
+    tiny = F(1, big)
+    assert group_dist(tmp_path, ((0, tiny, 1), (tiny, 0, 1), (1, 1, 0))) == 0
+    out = capsys.readouterr().out
+    assert f"lip {big}\n" in out and "display 921.034037\n" in out
+
+
+def test_cli_group_dist_result_past_the_digit_limit_exits_2(tmp_path,
+                                                           capsys):
+    if not sys.get_int_max_str_digits():
+        pytest.skip("int() digit limit is disabled")
+    ab = F(10 ** 4200 + 7, 10 ** 4200 + 1)
+    ac = F(10 ** 4200 + 9, 10 ** 4200 + 3)
+    rows = ((0, ab, ac), (ab, 0, 1), (ac, 1, 0))
+    out = tmp_path / "report.txt"
+    assert group_dist(tmp_path, rows, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: Exceeds the limit")
+
+
+def test_cli_other_value_errors_still_propagate(monkeypatch):
+    def broken(args):
+        raise ValueError("not a digit limit")
+    monkeypatch.setattr(cli, "cmd_fuzz", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["fuzz", "--suite", "bilip"])
+
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def data(name):
+    return (DATA / name).read_text()
+
+
+BILIP = ("--center", "x1", "--radius", "10", "--K", "2", "--N", "4",
+         "--target", "x")
+GROUP_MAP = "".join(f"pair p{i} p{j}\n" for i, j in enumerate((2, 0, 4, 1, 3)))
+
+# Each command with the texts of its input files, in placeholder order.
+COMMANDS = (
+    ("validate {0}", (data("triangle-violation.ums"),)),
+    ("amalgamate {0} {1} --policy midpoint",
+     (data("pair0.ums"), data("pair1.ums"))),
+    ("extend-bilip {0} {1} " + " ".join(BILIP),
+     (data("worked.ums"), data("worked.map"))),
+    ("verify-trace {0} {1} {2} " + " ".join(BILIP),
+     ((GOLDEN / "extend-bilip-midpoint.txt").read_text(), data("worked.ums"),
+      data("worked.map"))),
+    ("extend-mc {0} {0} {1} --alpha {2} --beta {3} --point x",
+     (data("worked.ums"), data("worked.map"), data("kinked.mc"),
+      data("identity.mc"))),
+    ("counterexample --alpha {0} --beta {1} --s 1 --t 1",
+     (data("kinked.mc"), data("identity.mc"))),
+    ("witness --gamma {0} --delta {1} --depth 2",
+     (data("steep-germ.mc"), data("triple.mc"))),
+    ("group-dist {0} {1} {2} --basepoint p0",
+     (io.format_space(random_space(random.Random(5), 5)), GROUP_MAP,
+      GROUP_MAP)),
+)
+WORDS = ("0", "1", "-1", "1/2", "0/1", "1/0", "3/0", "-2/3", "10" * 12,
+         "1/" + "10" * 12, "x", "x1", "p0", "a", "b", "q1", "pair", "row",
+         "labels", "points", "mc", "bp", "tail", "step", "side=d", "e=1",
+         "interval=[0,1]", "#", "", "\u00e9")
+
+
+@st.composite
+def mutated_command(draw):
+    template, texts = draw(st.sampled_from(COMMANDS))
+    texts = list(texts)
+    k = draw(st.integers(0, len(texts) - 1))
+    lines = texts[k].split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split(" ")
+        kind = draw(st.sampled_from(("word", "insert", "drop", "line", "dup")))
+        if kind == "word":
+            words[draw(st.integers(0, len(words) - 1))] = draw(
+                st.sampled_from(WORDS))
+        elif kind == "insert":
+            words.insert(draw(st.integers(0, len(words))),
+                         draw(st.sampled_from(WORDS)))
+        elif kind == "drop" and len(words) > 1:
+            del words[draw(st.integers(0, len(words) - 1))]
+        lines[i] = " ".join(words)
+        if kind == "line":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        if not lines:
+            lines = [""]
+    texts[k] = "\n".join(lines)
+    return template, texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_command())
+def test_cli_exit_code_on_mutated_artifacts(case):
+    template, texts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, text in enumerate(texts):
+            path = Path(tmp) / f"input{k}"
+            path.write_text(text)
+            paths.append(str(path))
+        argv = template.format(*paths).split()
+        with contextlib.redirect_stdout(StringIO()), \
+                contextlib.redirect_stderr(StringIO()):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3)

@@ -111,6 +111,25 @@ def test_compatible_tail_only_failure():
     assert lhs < rhs  # exact violation at the constructed tail point
 
 
+def test_tail_only_failure_refuted_in_both_orders():
+    # both box checks pass and only the tail slopes fail (9/4 * 3/8 < 1);
+    # the tail test is symmetric, so either order reports a direction-1
+    # witness refuting alpha_inv(s) + beta(t) >= alpha_inv(s+t) as given
+    p = PLFunction.from_points([(0, 0), (F(3, 2), 6)], F(9, 4))
+    q = PLFunction.from_points([(0, 0), (F(3, 2), F(15, 4))], F(3, 8))
+    for alpha, beta in ((p, q), (q, p)):
+        report = compatible(alpha, beta)
+        assert star_condition(alpha, beta, report.box) is None
+        assert star_condition(beta, alpha, report.box) is None
+        assert not report.ok
+        s, t, lhs, rhs, direction = report.witness
+        assert direction == 1
+        ainv = alpha.inverse()
+        assert lhs == ainv.value(s) + beta.value(t)
+        assert rhs == ainv.value(s + t)
+        assert lhs < rhs
+
+
 def test_random_constructed_pairs_are_compatible():
     rng = random.Random(44)
     for _ in range(30):
