@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import partial
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .amalgam import _choose, _katetov_fill, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
@@ -58,7 +60,6 @@ class ComplianceCertificate:
     lip_value: Fraction
     lip_witness: Optional[tuple[int, int]]
     goodness: GoodnessReport
-    kn: KNParams
 
     def __bool__(self) -> bool:
         return self.ok
@@ -74,25 +75,38 @@ def is_compliant(f: PartialMap, ball: Ball, kn: KNParams,
     goodness = goodness_check(f, ball, kn.N, space)
     lip_ok = lip_value <= kn.K
     return ComplianceCertificate(lip_ok and goodness.ok, lip_ok, lip_value,
-                                 lip_witness, goodness, kn)
+                                 lip_witness, goodness)
+
+
+Bound = tuple[str, Fraction, Fraction]  # (family, lower, upper)
 
 
 @dataclass(frozen=True)
 class SolveRecord:
-    """Feasibility data for one unknown distance e_m.
+    """Feasibility verdict for one unknown distance e_m.
 
-    ``lowers`` / ``uppers`` hold every individual bound with its constraint
-    family tag; ``lo``/``hi`` are their max/min and ``chosen`` lies inside.
+    ``lo``/``hi`` are the tightest lower/upper bounds, ``lo_family`` and
+    ``hi_family`` the constraint families that set them, and ``chosen``
+    lies inside.  The individual bounds are not stored: ``lowers`` and
+    ``uppers`` re-derive them, in the solver's order, from the solve's own
+    workspace and its chosen e_1..e_{m-1}.
     """
 
     m: int
-    lowers: tuple[tuple[str, Fraction], ...]
-    uppers: tuple[tuple[str, Fraction], ...]
     lo: Fraction
     hi: Fraction
     lo_family: str
     hi_family: str
     chosen: Fraction
+    bounds: Callable[[], list[Bound]] = field(compare=False, repr=False)
+
+    @property
+    def lowers(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((fam, lo) for fam, lo, _ in self.bounds())
+
+    @property
+    def uppers(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((fam, hi) for fam, _, hi in self.bounds())
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,33 @@ class ExtensionTrace:
     steps: list[ExtensionStep] = field(default_factory=list)
 
 
+def _bounds(ctx: tuple, m: int) -> list[Bound]:
+    """Every bound on e_{m+1} as (family, lower, upper), IE1 first.
+
+    ``ctx`` is the tuple of values :func:`_solve_new_distances` fixes once
+    per solve; its list ``e`` of chosen distances is read only at e[:m].
+    """
+    space, K, N, r, ys, dv, sv, Kd, cap_d, e = ctx
+    row = space.dist[ys[m]]               # d(y_m, .)
+    bounds = []
+    for j in range(m + 1, len(ys)):
+        emj = row[ys[j]]
+        bounds.append(("IE1", emj - Kd[j], emj + Kd[j]))
+    for l in range(m):
+        eml = row[ys[l]]
+        bounds.append(("IE2", abs(eml - e[l]), eml + e[l]))
+    bounds.append(("IE3", dv[m] / K, Kd[m]))
+    bounds.append(("IE4", sv[m] - cap_d, sv[m] + cap_d))
+    if m == 0:
+        # s_1 = d_1 and e_1 occurs on both sides; solved for e_1:
+        bounds.append(("IE5", (N * dv[0] - r) / (N - 1),
+                       (N * dv[0] + r) / (N + 1)))
+    else:
+        cap_e = (r - e[0]) / N            # (r - e_1)/N
+        bounds.append(("IE5", sv[m] - cap_e, sv[m] + cap_e))
+    return bounds
+
+
 def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                          pairs: Sequence[tuple[int, int]], x: int,
                          policy: ChoicePolicy,
@@ -131,11 +172,23 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
       IE4           goodness seen from the domain side, |e_m - s_m| <= (r-d_1)/N
       IE5           goodness seen from the range side, |e_m - s_m| <= (r-e_1)/N
                     (for m = 1 rewritten so e_1 appears only in the middle)
-      IE6/IE7       extra caps on e_1 that keep the later steps solvable
+
+    Two further caps on e_1, IE6_i = N(s_i - d_i/K) + r and
+    IE7_i = N(K*d_i - s_i) + r for i > 1, are implied by IE1 and not listed.
+    Let g_i = d(x_i, y_i).  The input map is certified bigood, so
+    N*g_i <= r - d(c, y_i), and the m = 1 IE1 upper bound is
+    IE1_i = d(c, y_i) + K*d_i.  Since d_i - g_i <= s_i <= d_i + g_i,
+
+      IE7_i - IE1_i >= d_i(N(K-1) - K) > 0
+      IE6_i - IE1_i >= d_i(N(K-1) - K^2)/K >= 0     (admissibility)
+
+    IE1 comes first and a family wins only when strictly tighter, so neither
+    cap could set an end of the interval.
 
     Returns the chosen vector, the distance s for the new pair, and per-m
-    records of every individual bound.  ``forced`` replays given choices,
-    verifying each lies in its recomputed interval.
+    records of each interval's verdict.  ``forced`` replays given choices,
+    verifying each lies in its recomputed interval.  Each record re-derives
+    its bounds from the returned vector, which must not be mutated.
     """
     K, N, r = kn.K, kn.N, ball.radius
     n = len(pairs)
@@ -145,42 +198,15 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
     sv = [space.d(x, yi) for yi in ys]    # s_m = d(x, y_m)
     Kd = [K * d for d in dv]              # K*d_m
     cap_d = (r - dv[0]) / N               # (r - d_1)/N, fixed for the run
-    cap_e = None                          # (r - e_1)/N, set once e_1 is chosen
     e: list[Fraction] = []
+    ctx = (space, K, N, r, ys, dv, sv, Kd, cap_d, e)
     records: list[SolveRecord] = []
     for m in range(n):
-        lowers: list[tuple[str, Fraction]] = []
-        uppers: list[tuple[str, Fraction]] = []
-        for j in range(m + 1, n):
-            emj = space.d(ys[m], ys[j])
-            lowers.append(("IE1", emj - Kd[j]))
-            uppers.append(("IE1", emj + Kd[j]))
-        for l in range(m):
-            eml = space.d(ys[m], ys[l])
-            lowers.append(("IE2", abs(eml - e[l])))
-            uppers.append(("IE2", eml + e[l]))
-        lowers.append(("IE3", dv[m] / K))
-        uppers.append(("IE3", Kd[m]))
-        lowers.append(("IE4", sv[m] - cap_d))
-        uppers.append(("IE4", sv[m] + cap_d))
-        if m == 0:
-            # s_1 = d_1 and e_1 occurs on both sides; solved for e_1:
-            lowers.append(("IE5", (N * dv[0] - r) / (N - 1)))
-            uppers.append(("IE5", (N * dv[0] + r) / (N + 1)))
-            for i in range(1, n):
-                uppers.append(("IE6", N * (sv[i] - dv[i] / K) + r))
-                uppers.append(("IE7", N * (Kd[i] - sv[i]) + r))
-        else:
-            lowers.append(("IE5", sv[m] - cap_e))
-            uppers.append(("IE5", sv[m] + cap_e))
-        lo_family, lo = lowers[0]
-        for fam, v in lowers[1:]:
-            if v > lo:
-                lo_family, lo = fam, v
-        hi_family, hi = uppers[0]
-        for fam, v in uppers[1:]:
-            if v < hi:
-                hi_family, hi = fam, v
+        bounds = _bounds(ctx, m)
+        # max/min return the first extremal bound: a later family wins
+        # only when strictly tighter.
+        lo_family, lo, _ = max(bounds, key=itemgetter(1))
+        hi_family, _, hi = min(bounds, key=itemgetter(2))
         if lo > hi:
             raise InfeasibleError(
                 f"empty interval for e_{m + 1}: {lo_family} gives {lo} > "
@@ -193,11 +219,10 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                     lo_family, lo, hi_family, hi)
         else:
             chosen = _choose(lo, hi, policy)
-        records.append(SolveRecord(m + 1, tuple(lowers), tuple(uppers),
-                                   lo, hi, lo_family, hi_family, chosen))
+        records.append(SolveRecord(m + 1, lo, hi, lo_family, hi_family,
+                                   chosen, partial(_bounds, ctx, m)))
         e.append(chosen)
-        if m == 0:
-            cap_e = (r - chosen) / N
+    cap_e = (r - e[0]) / N                # (r - e_1)/N
     s = min(min(e[i] + sv[i] for i in range(n)), cap_d, cap_e)
     return e, s, records
 

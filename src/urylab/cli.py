@@ -22,7 +22,7 @@ from .bilip import (Ball, extend_dense, is_compliant, kn_admissible,
 from .core import FiniteMetricSpace, PartialMap, validate_space
 from .errors import (InfeasibleError, ParseError, PreconditionError,
                      StructuralError)
-from .groupmetric import AutoMap, dist_hat, dist_n
+from .groupmetric import RADIUS_BOUND, AutoMap, dist_hat, dist_n
 from .mc_extend import (extend_one_point_mc, necessity_counterexample,
                         separation_witness)
 from .moduli import MCSemigroup
@@ -170,6 +170,8 @@ def _as_automap(pm: PartialMap, space: FiniteMetricSpace,
 
 
 def cmd_group_dist(args) -> int:
+    if args.depth > RADIUS_BOUND:
+        raise PreconditionError(f"--depth {args.depth} > {RADIUS_BOUND}")
     space = _load_space(args.space)
     base = space.index(args.basepoint) if args.basepoint else 0
     f = _as_automap(io.parse_map(_read(args.f), space), space, base)
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("--basepoint")
     p.add_argument("--depth", type=int, default=3,
-                   help="how many ball distances to list")
+                   help="how many ball distances to list (at most 2^16)")
     add_out(p)
     p.set_defaults(func=cmd_group_dist)
 

@@ -93,12 +93,18 @@ def grid_endpoints(space, ball, K, N, pairs, x, prior_e, m, lo_hint, hi_hint):
 
 def assert_pairwise_bounds(step):
     """Every recorded lower bound <= every recorded upper bound, per m,
-    and every chosen value inside its interval."""
+    every chosen value inside its interval, and each end of the interval
+    the first tightest bound of its list, with that bound's family."""
     for rec in step.solves:
         assert rec.lo <= rec.chosen <= rec.hi
-        for _, lo in rec.lowers:
-            for _, hi in rec.uppers:
-                assert lo <= hi
+        lowers, uppers = rec.lowers, rec.uppers  # re-derived: read once
+        top = max(lo for _, lo in lowers)
+        bottom = min(hi for _, hi in uppers)
+        assert top <= bottom
+        assert (rec.lo_family, rec.lo) == next(b for b in lowers
+                                               if b[1] == top)
+        assert (rec.hi_family, rec.hi) == next(b for b in uppers
+                                               if b[1] == bottom)
 
 
 def assert_condition_g(trace, seed, ball, kn, space):

@@ -83,6 +83,85 @@ def test_worked_instance_against_direct_feasibility_oracle():
     assert not feasible_e(space, ball, kn.K, kn.N, pairs, 1, [], 0, rec.hi + eps)
 
 
+@pytest.mark.parametrize("d, end, tie", [
+    (F(10, 3), "lo", ("IE3", "IE4")),     # d/K = d - (r-d)/N = 5/3
+    (F(5, 3), "hi", ("IE3", "IE5")),      # K*d = (N*d + r)/(N+1) = 10/3
+])
+def test_tied_families_report_the_first(d, end, tie):
+    space = FiniteMetricSpace.from_rows(("x1", "x"), ((0, d), (d, 0)))
+    _, ball, kn, f = worked_setup()
+    _, _, step = extend_one_point(f, ball, kn, 1, "domain", space)
+    assert_pairwise_bounds(step)
+    rec = step.solves[0]
+    bounds = dict(rec.lowers if end == "lo" else rec.uppers)
+    assert bounds[tie[0]] == bounds[tie[1]] == getattr(rec, end)
+    assert getattr(rec, f"{end}_family") == tie[0]
+
+
+def tight_tree_setup(K, N, hang, t):
+    """Seed map {c -> c, x1 -> y1} on the path c - x1 - y1 in B(c, 10) with
+    d(c, x1) = 5 and goodness tight at the pair, N*g = r - d(c, y1) for
+    g = d(x1, y1); the new point x hangs off ``hang`` by an edge of length t.
+    Points: c = 0, x1 = 1, y1 = 2, x = 3."""
+    r = F(10)
+    g = (r - 5) / (N + 1)
+    pos = (F(0), F(5), 5 + g)
+    x = [t + abs(pos[hang] - p) for p in pos]
+    rows = [[abs(p - q) for q in pos] + [x[i]] for i, p in enumerate(pos)]
+    space = FiniteMetricSpace.from_rows(("c", "x1", "y1", "x"),
+                                        rows + [x + [0]])
+    assert validate_space(space).ok
+    kn, f = kn_admissible(K, N), PartialMap((0, 1), (0, 2))
+    ball = Ball(0, r)
+    assert is_compliant(f, ball, kn, space).ok
+    assert goodness_check(f, ball, N, space).backward_slack == 0
+    return space, ball, kn, f
+
+
+def raw_e1_caps(space, ball, kn):
+    """(IE1, IE6, IE7) upper bounds on e_1 at the pair (x1, y1), stated raw."""
+    K, N, r = kn.K, kn.N, ball.radius
+    d, s = space.d(3, 1), space.d(3, 2)
+    return (space.d(0, 2) + K * d, N * (s - d / K) + r,
+            N * (K * d - s) + r)
+
+
+def assert_e_intervals_exact(space, ball, kn, f, step):
+    """Each [lo, hi] is exactly the raw feasible set, IE6/IE7 included."""
+    pairs, prior, eps = center_first_pairs(f, 0), [], F(1, 4096)
+    for m, rec in enumerate(step.solves):
+        def ok(c):
+            return feasible_e(space, ball, kn.K, kn.N, pairs, 3, prior, m, c)
+        assert ok(rec.lo) and ok(rec.hi)
+        assert not ok(rec.lo - eps) and not ok(rec.hi + eps)
+        prior.append(rec.chosen)
+
+
+@pytest.mark.parametrize("K, N", [(2, 4), (3, F(9, 2))])
+def test_ie6_ties_ie1_at_the_admissibility_boundary(K, N):
+    # N = K^2/(K-1), tight goodness and s_1 = d_1 - g: the IE6 cap on e_1
+    # equals the IE1 bound, so the solver needs no IE6 family
+    assert N * (K - 1) == K * K
+    space, ball, kn, f = tight_tree_setup(K, N, hang=2, t=F(1, 2))
+    assert space.d(3, 2) == space.d(3, 1) - space.d(1, 2)
+    _, _, step = extend_one_point(f, ball, kn, 3, "domain", space)
+    ie1, ie6, ie7 = raw_e1_caps(space, ball, kn)
+    assert ie6 == ie1 < ie7
+    assert step.solves[0].hi <= min(ie6, ie7)
+    assert_e_intervals_exact(space, ball, kn, f, step)
+
+
+def test_ie7_margin_over_ie1_on_a_tight_tree():
+    # s_1 = d_1 + g with d_1 = 1/100: IE7 - IE1 = d_1(N(K-1) - K) = 1/50
+    space, ball, kn, f = tight_tree_setup(2, 4, hang=1, t=F(1, 100))
+    assert space.d(3, 2) == space.d(3, 1) + space.d(1, 2)
+    _, _, step = extend_one_point(f, ball, kn, 3, "domain", space)
+    ie1, ie6, ie7 = raw_e1_caps(space, ball, kn)
+    assert ie7 - ie1 == F(1, 50) and ie6 > ie1
+    assert step.solves[0].hi <= min(ie6, ie7)
+    assert_e_intervals_exact(space, ball, kn, f, step)
+
+
 def test_extend_noop_when_already_in_domain():
     space, ball, kn, f = worked_setup()
     g, grown, step = extend_one_point(f, ball, kn, 0, "domain", space)

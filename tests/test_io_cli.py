@@ -410,6 +410,22 @@ def test_cli_group_dist_rise_past_the_radius_bound_exits_2(tmp_path, capsys):
         "error: displacement rises at radius 1000001 > 65536\n")
 
 
+def test_cli_group_dist_depth_past_the_radius_bound_exits_2(tmp_path, capsys):
+    start = time.monotonic()
+    assert group_dist(tmp_path, far_rows(3), "--depth", 10 ** 8) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --depth 100000000 > 65536\n"
+
+
+def test_cli_group_dist_depth_at_the_radius_bound_finishes(tmp_path, capsys):
+    assert group_dist(tmp_path, far_rows(3), "--depth", 2 ** 16) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 + 2 ** 16
+    assert lines[4:6] == ["d1 0", "d2 3"] and lines[-1] == "d65536 3"
+
+
 def test_cli_group_dist_display_beyond_float_range(tmp_path, capsys):
     big = 10 ** 400
     assert group_dist(tmp_path, far_rows(big)) == 0
