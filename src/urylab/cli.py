@@ -193,6 +193,8 @@ def cmd_fuzz(args) -> int:
         raise PreconditionError(
             f"unknown suite {args.suite!r}; choose from "
             + ", ".join(sorted(gen.CAMPAIGNS)))
+    if args.count < 0:
+        raise PreconditionError("count must be nonnegative")
     lines = campaign(args.seed, args.count)
     ok = not any("ok=false" in line for line in lines)
     lines.append("all passed" if ok else "FAILURE")

@@ -7,6 +7,7 @@ small denominators to keep exact arithmetic quick.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,10 +24,13 @@ POLICIES = ("midpoint", "minimal", "maximal")
 
 
 def rand_fraction(rng: random.Random, lo, hi, den: int = 16) -> Fraction:
-    """Uniform-ish rational in [lo, hi] with denominator dividing den."""
+    """Uniform-ish rational in [lo, hi] with denominator dividing den.
+
+    Returns lo itself when no multiple of 1/den lies in [lo, hi].
+    """
     lo, hi = rat(lo), rat(hi)
-    a = (lo * den).__ceil__()
-    b = (hi * den).__floor__()
+    a = -(-lo.numerator * den // lo.denominator)
+    b = hi.numerator * den // hi.denominator
     if b < a:
         return lo
     return Fraction(rng.randint(a, b), den)
@@ -43,19 +47,25 @@ def line_space(positions: Sequence, labels: Optional[Sequence[str]] = None
 
 def random_space(rng: random.Random, n: int, scale=4,
                  den: int = 8) -> FiniteMetricSpace:
-    """Shortest-path closure of a random complete weighted graph."""
+    """Shortest-path closure of a random complete weighted graph.
+
+    The closure runs on ints over q, the lcm of the weights' denominators.
+    """
     scale = rat(scale)
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             w = rand_fraction(rng, scale / den, scale, den)
             d[i][j] = d[j][i] = w
+    q = math.lcm(*(v.denominator for row in d for v in row))
+    d = [[v.numerator * (q // v.denominator) for v in row] for row in d]
     for k in range(n):
         for i in range(n):
-            for j in range(n):
-                if d[i][k] + d[k][j] < d[i][j]:
-                    d[i][j] = d[j][i] = d[i][k] + d[k][j]
-    return FiniteMetricSpace.from_rows(tuple(f"p{i}" for i in range(n)), d)
+            dik = d[i][k]
+            d[i] = list(map(min, d[i], [dik + x for x in d[k]]))
+    return FiniteMetricSpace.from_rows(
+        tuple(f"p{i}" for i in range(n)),
+        [[Fraction(v, q) for v in row] for row in d])
 
 
 def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,

@@ -135,3 +135,30 @@ def assert_condition_g(trace, seed, ball, kn, space):
 
 def center_first_pairs(f, center):
     return [(center, center)] + [p for p in f.pairs() if p[0] != center]
+
+
+def rand_fraction_reference(rng, lo, hi, den=16):
+    """rand_fraction with its bounds rounded on Fractions, not on ints."""
+    lo, hi = F(lo), F(hi)
+    a = (lo * den).__ceil__()
+    b = (hi * den).__floor__()
+    if b < a:
+        return lo
+    return F(rng.randint(a, b), den)
+
+
+def random_space_rows(rng, n, scale=4, den=8):
+    """random_space's rows by the Fraction triple loop: the same draws,
+    closed pair by pair in Fractions."""
+    scale = F(scale)
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = rand_fraction_reference(rng, scale / den, scale, den)
+            d[i][j] = d[j][i] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[j][i] = d[i][k] + d[k][j]
+    return d

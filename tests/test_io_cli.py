@@ -278,6 +278,19 @@ def test_cli_fuzz_deterministic(tmp_path, capsys):
     assert first == second and "all passed" in first
 
 
+def test_cli_fuzz_negative_count_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert run_cli(tmp_path, "fuzz", "--suite", "amalgam", "--count", "-3",
+                   "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: count must be nonnegative\n"
+    assert run_cli(tmp_path, "fuzz", "--suite", "amalgam", "--count", "0",
+                   "--seed", "4") == 0
+    assert capsys.readouterr().out == (
+        "suite=amalgam seed=4 count=0\nall passed\n")
+
+
 def test_cli_amalgamate_midpoint(tmp_path, capsys):
     a = tmp_path / "a.ums"
     a.write_text("points 2\nlabels p0 z\nrow 0 3\nrow 3 0\n")
