@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .amalgam import _choose, _katetov_fill, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # io imports this module
     from .io import TraceLine
 
 ChoicePolicy = str  # 'midpoint' | 'minimal' | 'maximal'
+_Chooser = Callable[[Fraction, Fraction], Fraction]  # picks e_m in [lo, hi]
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,7 @@ def _bounds(ctx: tuple, m: int) -> list[Bound]:
 
 def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                          pairs: Sequence[tuple[int, int]], x: int,
-                         policy: ChoicePolicy,
-                         forced: Optional[Sequence[Fraction]] = None,
+                         choose: _Chooser,
                          ) -> tuple[list[Fraction], Fraction, list[SolveRecord]]:
     """Solve for the new point's distances e_1..e_n to the existing range.
 
@@ -186,9 +186,9 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
     cap could set an end of the interval.
 
     Returns the chosen vector, the distance s for the new pair, and per-m
-    records of each interval's verdict.  ``forced`` replays given choices,
-    verifying each lies in its recomputed interval.  Each record re-derives
-    its bounds from the returned vector, which must not be mutated.
+    records of each interval's verdict.  ``choose(lo, hi)`` picks each e_m;
+    a choice outside [lo, hi] raises.  Each record re-derives its bounds
+    from the returned vector, which must not be mutated.
     """
     K, N, r = kn.K, kn.N, ball.radius
     n = len(pairs)
@@ -211,14 +211,11 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
             raise InfeasibleError(
                 f"empty interval for e_{m + 1}: {lo_family} gives {lo} > "
                 f"{hi} from {hi_family}", lo_family, lo, hi_family, hi)
-        if forced is not None:
-            chosen = forced[m]
-            if not lo <= chosen <= hi:
-                raise InfeasibleError(
-                    f"replayed e_{m + 1} = {chosen} outside [{lo}, {hi}]",
-                    lo_family, lo, hi_family, hi)
-        else:
-            chosen = _choose(lo, hi, policy)
+        chosen = choose(lo, hi)
+        if not lo <= chosen <= hi:
+            raise InfeasibleError(
+                f"chosen e_{m + 1} = {chosen} outside [{lo}, {hi}]",
+                lo_family, lo, hi_family, hi)
         records.append(SolveRecord(m + 1, lo, hi, lo_family, hi_family,
                                    chosen, partial(_bounds, ctx, m)))
         e.append(chosen)
@@ -269,7 +266,8 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
     if side not in ("domain", "range"):
         raise PreconditionError(f"side must be 'domain' or 'range', got {side!r}")
     _certify_seed(f, ball, kn, space)
-    return _extend_step(f, ball, kn, x, side, space, policy)
+    return _extend_step(f, ball, kn, x, side, space,
+                        partial(_choose, policy=policy))
 
 
 def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
@@ -313,8 +311,7 @@ def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
 
 
 def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
-                 space: FiniteMetricSpace, policy: ChoicePolicy = "midpoint",
-                 forced: Optional[Sequence[Fraction]] = None,
+                 space: FiniteMetricSpace, choose: _Chooser,
                  ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """``extend_one_point`` for a map already certified compliant.
 
@@ -331,8 +328,7 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
 
     center = ball.center
     pairs = [(center, center)] + [p for p in work.pairs() if p[0] != center]
-    e, s, records = _solve_new_distances(space, ball, kn, pairs, x, policy,
-                                         forced)
+    e, s, records = _solve_new_distances(space, ball, kn, pairs, x, choose)
     _certify_new_row(space, ball, kn, pairs, x, e, s)
     values: dict[int, Fraction] = {yi: ei for (_, yi), ei in zip(pairs, e)}
     values[x] = s
@@ -347,6 +343,19 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
     return new_map, grown, step
 
 
+def _back_and_forth(f: PartialMap, ball: Ball, kn: KNParams,
+                    targets: Sequence[int], space: FiniteMetricSpace,
+                    choose: _Chooser,
+                    ) -> Iterator[tuple[PartialMap, FiniteMetricSpace,
+                                        ExtensionStep]]:
+    """Certify f once, then yield (map, space, step) per target and side."""
+    _certify_seed(f, ball, kn, space)
+    for x in targets:
+        for side in ("domain", "range"):
+            f, space, step = _extend_step(f, ball, kn, x, side, space, choose)
+            yield f, space, step
+
+
 def extend_dense(f: PartialMap, ball: Ball, kn: KNParams,
                  targets: Sequence[int], space: FiniteMetricSpace,
                  policy: ChoicePolicy = "midpoint",
@@ -359,12 +368,10 @@ def extend_dense(f: PartialMap, ball: Ball, kn: KNParams,
     is certified in full once, before any step; every step proves only its
     new row.
     """
-    _certify_seed(f, ball, kn, space)
     trace = ExtensionTrace()
-    for x in targets:
-        for side in ("domain", "range"):
-            f, space, step = _extend_step(f, ball, kn, x, side, space, policy)
-            trace.steps.append(step)
+    for f, space, step in _back_and_forth(f, ball, kn, targets, space,
+                                          partial(_choose, policy=policy)):
+        trace.steps.append(step)
     return f, space, trace
 
 
@@ -373,44 +380,36 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
                        lines: Sequence[TraceLine]) -> tuple[bool, str]:
     """Replay a trace against its inputs, re-deriving every interval.
 
-    Recorded e-values are used as the choices, so any policy-consistent
-    trace is accepted; every interval, chosen value, pair distance, and
-    realized label must match the recomputation exactly.  The input map is
-    certified in full once, before any step; each step proves only its new
-    row.
+    The run is :func:`extend_dense`'s, with the recorded e-values as the
+    choices, so any policy-consistent trace is accepted; every interval,
+    chosen value, pair distance, and realized label must match the
+    recomputation exactly, line by line in order.
     """
+    choices = iter(lines)
+
+    def recorded(lo: Fraction, hi: Fraction) -> Fraction:
+        for ln in choices:                # the next recorded line, if any
+            return ln.e
+        raise PreconditionError(f"trace truncated at line {len(lines) + 1}")
+
+    pending, done = iter(lines), 0
     try:
-        _certify_seed(fmap, ball, kn, space)
-    except PreconditionError as exc:
-        return False, str(exc)
-    idx = 0
-    for x in targets:
-        for side in ("domain", "range"):
-            work = fmap if side == "domain" else fmap.inverse()
-            if x in work.domain:
-                continue
-            count = len(work)
-            chunk = lines[idx:idx + count]
-            if len(chunk) < count:
-                return False, f"trace truncated at line {idx + len(chunk) + 1}"
-            try:
-                fmap, space, step = _extend_step(
-                    fmap, ball, kn, x, side, space,
-                    forced=[ln.e for ln in chunk])
-            except (InfeasibleError, PreconditionError) as exc:
-                return False, str(exc)
-            tag = "d" if side == "domain" else "r"
-            for rec, ln in zip(step.solves, chunk):
+        for _, _, step in _back_and_forth(fmap, ball, kn, targets, space,
+                                          recorded):
+            tag = "d" if step.side == "domain" else "r"
+            for rec, ln in zip(step.solves, pending):
+                done += 1
                 got = (rec.m, tag, rec.lo, rec.hi, rec.chosen, step.s,
                        step.realized_label)
                 want = (ln.m, ln.side, ln.lo, ln.hi, ln.e, ln.s, ln.point)
                 if got != want:
-                    return False, (f"line {idx + rec.m}: recomputed "
+                    return False, (f"line {done}: recomputed "
                                    f"{got} != recorded {want}")
-            idx += count
-    if idx != len(lines):
-        return False, f"{len(lines) - idx} unexplained trailing lines"
-    return True, f"verified {idx} steps"
+    except (InfeasibleError, PreconditionError) as exc:
+        return False, str(exc)
+    if done != len(lines):
+        return False, f"{len(lines) - done} unexplained trailing lines"
+    return True, f"verified {done} steps"
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,8 @@ def _as_automap(pm: PartialMap, space: FiniteMetricSpace,
 
 
 def cmd_group_dist(args) -> int:
+    if args.depth < 0:
+        raise PreconditionError("depth must be nonnegative")
     if args.depth > RADIUS_BOUND:
         raise PreconditionError(f"--depth {args.depth} > {RADIUS_BOUND}")
     space = _load_space(args.space)

@@ -99,7 +99,7 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str                  # 'shape' | 'negative' | 'diagonal' | 'symmetry' | 'identity' | 'triangle'
+    kind: str                  # 'negative' | 'diagonal' | 'symmetry' | 'identity' | 'triangle'
     points: tuple[int, ...]
     detail: str
 

@@ -88,10 +88,12 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
             f"upper bound through one point and the lower bound through "
             f"another")
 
-    values: dict[int, Fraction] = {}
-    for y in range(rng_space.n):
-        values[y] = min(rng_space.d(fz, y) + beta.value(dom_space.d(z, p))
-                        for z, fz in f.pairs())
+    # Prescribed on the images only; realize_point completes the rest by the
+    # same shortest-path rule, which by the triangle inequality gives the
+    # minimum over z at every other range point too.
+    reach = [(fz, beta.value(dom_space.d(z, p))) for z, fz in f.pairs()]
+    values = {y: min(rng_space.d(fz, y) + b for fz, b in reach)
+              for y in f.images}
     grown, q = realize_point(rng_space, values)
     new_map = f.extended(p, q)
     require_bicontinuous(new_map, dom_space, grown, alpha, beta)

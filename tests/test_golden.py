@@ -72,6 +72,9 @@ def _cases():
     cases["group-dist-worked"] = (
         [], ["group-dist", _data("worked.ums"), _data("worked.map"),
              _data("worked.map"), "--basepoint", "x1"])
+    cases["group-dist-swap"] = (
+        [], ["group-dist", _data("worked.ums"), _data("identity.map"),
+             _data("swap.map"), "--basepoint", "x1", "--depth", "2"])
     for suite in ("bilip", "mc", "amalgam", "group"):
         cases[f"fuzz-{suite}"] = (
             [], ["fuzz", "--suite", suite, "--count", "50", "--seed", "7"])

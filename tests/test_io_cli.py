@@ -5,6 +5,7 @@ import random
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from io import StringIO
 from pathlib import Path
@@ -180,6 +181,58 @@ def test_verify_rejects_any_single_field_perturbation():
             bad[k] = io.TraceLine(**kw)
             ok, _ = verify_trace_lines(space, f, ball, kn, [1], bad)
             assert not ok, f"perturbed {field} on line {k} accepted"
+
+
+# Targets x, x, x1 on the worked instance: one domain step (line 1), one
+# range step (lines 2-3), then four noop steps that emit no step line.
+NOOP_TARGETS = [1, 1, 0]
+
+
+def noop_replay(edit=lambda lines: lines):
+    """Replay the NOOP_TARGETS trace after ``edit`` rewrites its lines."""
+    space = io.parse_space(WORKED_UMS)
+    f = io.parse_map(WORKED_MAP, space)
+    ball, kn = Ball(0, F(10)), kn_admissible(2, 4)
+    _, _, trace = extend_dense(f, ball, kn, NOOP_TARGETS, space)
+    text = io.format_trace(trace)
+    assert text.count("# noop ") == 4
+    lines = io.parse_trace(text)
+    assert len(lines) == 3
+    return verify_trace_lines(space, f, ball, kn, NOOP_TARGETS,
+                              edit(list(lines)))
+
+
+def test_verify_accepts_a_trace_with_noop_steps():
+    assert noop_replay() == (True, "verified 3 steps")
+
+
+def test_verify_names_the_line_a_truncated_trace_stops_at():
+    assert noop_replay(lambda lines: lines[:-1]) == (
+        False, "trace truncated at line 3")
+
+
+def test_verify_counts_unexplained_trailing_lines():
+    assert noop_replay(lambda lines: lines + lines[-1:]) == (
+        False, "1 unexplained trailing lines")
+
+
+def test_verify_reports_the_earliest_bad_line_first():
+    def edit(lines):
+        lines[0] = replace(lines[0], s=lines[0].s + 1)
+        lines[2] = replace(lines[2], e=lines[2].hi + 1)
+        return lines
+
+    ok, message = noop_replay(edit)
+    assert not ok and message.startswith("line 1: recomputed ")
+
+
+def test_verify_names_an_out_of_interval_choice():
+    def edit(lines):
+        lines[2] = replace(lines[2], e=lines[2].hi + 1)
+        return lines
+
+    assert noop_replay(edit) == (
+        False, "chosen e_2 = 51/16 outside [35/32, 35/16]")
 
 
 def run_cli(tmp_path, *argv):
@@ -430,6 +483,32 @@ def test_cli_group_dist_depth_past_the_radius_bound_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --depth 100000000 > 65536\n"
+
+
+def worked_group_dist(*extra):
+    """group-dist on the worked demo space, identity against the swap."""
+    return main(["group-dist", str(DATA / "worked.ums"),
+                 str(DATA / "identity.map"), str(DATA / "swap.map"),
+                 *map(str, extra)])
+
+
+def test_cli_group_dist_negative_depth_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert worked_group_dist("--depth", -4, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be nonnegative\n"
+    assert not out.exists()
+    # checked before any input is read
+    assert main(["group-dist", str(tmp_path / "missing.ums"), "f.map",
+                 "g.map", "--depth", "-1"]) == 2
+    assert capsys.readouterr().err == "error: depth must be nonnegative\n"
+
+
+def test_cli_group_dist_depth_zero_lists_no_dn_line(capsys):
+    assert worked_group_dist("--depth", 0) == 0
+    assert capsys.readouterr().out == (
+        "lip 1\ndS 1\nzero false\ndisplay 1.000000\n")
 
 
 def test_cli_group_dist_depth_at_the_radius_bound_finishes(tmp_path, capsys):

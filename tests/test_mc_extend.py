@@ -75,6 +75,28 @@ def test_random_instances_extend_and_verify():
         assert validate_space(ext.rng_space).ok
 
 
+def test_new_image_row_is_the_whole_range_minimum():
+    # f restricted to part of its domain leaves range points off the image;
+    # the new row must still be min over z of d(f(z), y) + beta(d(z, p)).
+    rng = random.Random(4410)
+    off_image = 0
+    for _ in range(20):
+        alpha, beta, f, dom, rng_space = random_bicontinuous_instance(rng)
+        keep = sorted(rng.sample(range(len(f)), rng.randint(1, len(f) - 1)))
+        f = PartialMap(tuple(f.domain[i] for i in keep),
+                       tuple(f.images[i] for i in keep))
+        ball = Ball(0, dom.diameter() + 1)
+        dom, p = random_point_in_ball(rng, dom, ball)
+        ext = extend_one_point_mc(f, dom, rng_space, alpha, beta, p)
+        whole = [min(rng_space.d(fz, y) + beta.value(dom.d(z, p))
+                     for z, fz in f.pairs())
+                 for y in range(rng_space.n)]
+        assert [ext.rng_space.d(ext.q, y)
+                for y in range(rng_space.n)] == whole
+        off_image += rng_space.n - len(f)
+    assert off_image > 0
+
+
 def test_necessity_certificate_at_one_one():
     bundle = necessity_counterexample(KINKED, linear(1), 1, 1)
     cert = bundle.certificate
