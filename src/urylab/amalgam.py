@@ -91,6 +91,8 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
     points already placed, and the policy picks a value inside it.  With the
     minimal policy a zero lower bound identifies the new point with an
     existing one.  The result restricted to either input equals that input.
+    An empty interval, which only a non-metric input can give, raises
+    ``PreconditionError`` naming the points that set its two ends.
     """
     shared = [lab for lab in x0.labels if lab in x1.labels]
     if not shared:
@@ -116,9 +118,19 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
                 continue
             lo = max(abs(g - work.d(z, w)) for z, g in known.items())
             hi = min(g + work.d(z, w) for z, g in known.items())
-            interval = AmalgamInterval(lo, hi)
+            if lo > hi:
+                z_lo = next(z for z, g in known.items()
+                            if abs(g - work.d(z, w)) == lo)
+                z_hi = next(z for z, g in known.items()
+                            if g + work.d(z, w) == hi)
+                raise PreconditionError(
+                    f"no distance from new point {lab!r} to "
+                    f"{work.labels[w]!r}: lower bound {lo} via "
+                    f"{work.labels[z_lo]!r} exceeds upper bound {hi} via "
+                    f"{work.labels[z_hi]!r}; an input is not metric")
             if policy == "explicit":
-                value = _explicit(interval, explicit.get((lab, work.labels[w])))
+                value = _explicit(AmalgamInterval(lo, hi),
+                                  explicit.get((lab, work.labels[w])))
             else:
                 value = _choose(lo, hi, policy)
             if value == 0:

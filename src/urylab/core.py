@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .errors import DegenerateInputError, PreconditionError, StructuralError
@@ -116,8 +117,13 @@ class ValidationReport:
 def validate_space(space: FiniteMetricSpace) -> ValidationReport:
     """Exhaustive exact check of the metric axioms.
 
-    Scans every entry, every pair, and every ordered triple; the report lists
-    each violated axiom with the witnessing points.
+    Scans every entry and every pair; the report lists each violated axiom
+    with the witnessing points.  The triangle inequality is settled per pair
+    (i, k): every violating j makes min_j d(i,j) + d(j,k) smaller than
+    d(i,k), so only a pair that fails that one test scans its j's.  On a
+    symmetric matrix each unordered pair is tested once, and a violating
+    (i, j, k) also gives the mirror (k, j, i).  Triangle violations are
+    listed in (i, j, k) order, after the other kinds.
     """
     n = len(space.labels)
     if len(space.dist) != n or any(len(r) != n for r in space.dist):
@@ -127,25 +133,35 @@ def validate_space(space: FiniteMetricSpace) -> ValidationReport:
     for i in range(n):
         if d[i][i] != 0:
             out.append(Violation("diagonal", (i,), f"d({i},{i}) = {d[i][i]} != 0"))
+    symmetric = True
     for i in range(n):
         for j in range(i + 1, n):
             if d[i][j] < 0:
                 out.append(Violation("negative", (i, j), f"d = {d[i][j]} < 0"))
             if d[i][j] != d[j][i]:
+                symmetric = False
                 out.append(Violation("symmetry", (i, j),
                                      f"{d[i][j]} != {d[j][i]}"))
             if d[i][j] == 0:
                 out.append(Violation("identity", (i, j),
                                      "distinct points at distance 0"))
+    col = d if symmetric else tuple(zip(*d))
+    triangles = []
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j or j == k or i == k:
-                    continue
-                if d[i][k] > d[i][j] + d[j][k]:
-                    out.append(Violation(
-                        "triangle", (i, j, k),
-                        f"{d[i][k]} > {d[i][j]} + {d[j][k]}"))
+        row = d[i]
+        for k in range(i + 1, n) if symmetric else range(n):
+            dik, ck = row[k], col[k]
+            if k == i or min(map(add, row, ck)) >= dik:
+                continue
+            for j in range(n):
+                if j != i and j != k and dik > row[j] + ck[j]:
+                    triangles.append((i, j, k))
+                    if symmetric:
+                        triangles.append((k, j, i))
+    triangles.sort()
+    out.extend(Violation("triangle", (i, j, k),
+                         f"{d[i][k]} > {d[i][j]} + {d[j][k]}")
+               for i, j, k in triangles)
     return ValidationReport(tuple(out))
 
 

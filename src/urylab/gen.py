@@ -151,18 +151,24 @@ def random_permutation_map(rng: random.Random, space: FiniteMetricSpace,
 
 def random_modulus(rng: random.Random, pieces: int = 3, den: int = 8,
                    slope_hi: int = 4) -> PLFunction:
-    """Random concave increasing PL bijection of [0, oo) starting at (0, 0)."""
+    """Random concave increasing PL bijection of [0, oo) starting at (0, 0).
+
+    Slopes and widths are drawn as numerators over ``den``, as
+    ``rand_fraction`` draws them; breakpoints accumulate as ints over den
+    and den**2.
+    """
     k = rng.randint(1, pieces)
-    slopes = sorted((rand_fraction(rng, Fraction(1, den), slope_hi, den)
+    top = slope_hi * den
+    slopes = sorted((rng.randint(1, top) if top >= 1 else 1
                      for _ in range(k + 1)), reverse=True)
     pts = [(Fraction(0), Fraction(0))]
-    t = v = Fraction(0)
+    t = v = 0
     for s in slopes[:-1]:
-        width = rand_fraction(rng, Fraction(1, den), 2, den)
+        width = rng.randint(1, 2 * den)
         t += width
         v += s * width
-        pts.append((t, v))
-    m = PLFunction(tuple(pts), slopes[-1])
+        pts.append((Fraction(t, den), Fraction(v, den * den)))
+    m = PLFunction(tuple(pts), Fraction(slopes[-1], den))
     assert is_modulus(m)
     return m
 

@@ -7,6 +7,10 @@ to the same answers.
 
 from fractions import Fraction as F
 
+from urylab.core import ValidationReport, Violation
+from urylab.errors import StructuralError
+from urylab.moduli import PLFunction, is_modulus
+
 
 def feasible_e(space, ball, K, N, pairs, x, prior_e, m, candidate):
     """Direct check of every inequality on e_m, stated raw.
@@ -162,3 +166,52 @@ def random_space_rows(rng, n, scale=4, den=8):
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[j][i] = d[i][k] + d[k][j]
     return d
+
+
+def random_modulus_reference(rng, pieces=3, den=8, slope_hi=4):
+    """random_modulus drawn through rand_fraction and summed in Fractions."""
+    k = rng.randint(1, pieces)
+    slopes = sorted((rand_fraction_reference(rng, F(1, den), slope_hi, den)
+                     for _ in range(k + 1)), reverse=True)
+    pts = [(F(0), F(0))]
+    t = v = F(0)
+    for s in slopes[:-1]:
+        width = rand_fraction_reference(rng, F(1, den), 2, den)
+        t += width
+        v += s * width
+        pts.append((t, v))
+    m = PLFunction(tuple(pts), slopes[-1])
+    assert is_modulus(m)
+    return m
+
+
+def validate_space_reference(space):
+    """validate_space as the scan over every ordered triple."""
+    n = len(space.labels)
+    if len(space.dist) != n or any(len(r) != n for r in space.dist):
+        raise StructuralError("distance matrix does not match label count")
+    out: list[Violation] = []
+    d = space.dist
+    for i in range(n):
+        if d[i][i] != 0:
+            out.append(Violation("diagonal", (i,), f"d({i},{i}) = {d[i][i]} != 0"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] < 0:
+                out.append(Violation("negative", (i, j), f"d = {d[i][j]} < 0"))
+            if d[i][j] != d[j][i]:
+                out.append(Violation("symmetry", (i, j),
+                                     f"{d[i][j]} != {d[j][i]}"))
+            if d[i][j] == 0:
+                out.append(Violation("identity", (i, j),
+                                     "distinct points at distance 0"))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if i == j or j == k or i == k:
+                    continue
+                if d[i][k] > d[i][j] + d[j][k]:
+                    out.append(Violation(
+                        "triangle", (i, j, k),
+                        f"{d[i][k]} > {d[i][j]} + {d[j][k]}"))
+    return ValidationReport(tuple(out))

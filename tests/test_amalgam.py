@@ -95,6 +95,19 @@ def test_amalgamate_disagreement_on_z_rejected():
         amalgamate(x0, x1)
 
 
+def test_amalgamate_non_metric_input_names_the_empty_interval():
+    x0 = FiniteMetricSpace.from_rows(
+        ("a", "b", "c"), ((0, 1, 3), (1, 0, 1), (3, 1, 0)))
+    x1 = FiniteMetricSpace.from_rows(
+        ("a", "b", "m"), ((0, 1, 10), (1, 0, 1), (10, 1, 0)))
+    for policy in ("minimal", "midpoint", "maximal", "explicit"):
+        with pytest.raises(PreconditionError) as err:
+            amalgamate(x0, x1, policy=policy, explicit={("m", "c"): 2})
+        assert str(err.value) == (
+            "no distance from new point 'm' to 'c': lower bound 7 via 'a' "
+            "exceeds upper bound 2 via 'b'; an input is not metric")
+
+
 def test_amalgamate_restriction_and_idempotence():
     rng = random.Random(5)
     for policy in ("minimal", "midpoint", "maximal"):

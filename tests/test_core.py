@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from oracle_utils import validate_space_reference
+from urylab import io
 from urylab import (Ball, DegenerateInputError, FiniteMetricSpace, PartialMap,
                     PreconditionError, StructuralError, goodness_check,
                     lip_constant, rat, validate_space)
@@ -67,6 +70,48 @@ def test_validator_agrees_with_brute_force_on_corrupted_matrices():
                                    tuple(tuple(r) for r in rows))
         assert validate_space(broken).ok == brute_force_metric_check(broken.dist)
         assert not validate_space(broken).ok
+
+
+def corrupted_matrix(rng, n, den):
+    """A random metric or a random symmetric matrix over 1/den, with 0-4
+    corruptions: one-sided, negative, zero and nonzero-diagonal entries."""
+    if rng.random() < 0.5:
+        rows = [list(r) for r in random_space(rng, n, den=den).dist]
+    else:
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = F(rng.randint(1, 4 * den), den)
+    for _ in range(rng.randint(0, 4) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        value = F(rng.randint(1, 4 * den), den)
+        kind = rng.choice(("asymmetric", "negative", "zero", "diagonal"))
+        if kind == "diagonal":
+            rows[i][i] = value * rng.choice((-1, 1))
+        elif i != j and kind == "asymmetric":
+            rows[i][j] = value
+        elif i != j:
+            rows[i][j] = rows[j][i] = -value if kind == "negative" else F(0)
+    return FiniteMetricSpace.from_rows([f"p{i}" for i in range(n)], rows)
+
+
+def test_validator_report_equals_the_ordered_triple_scan():
+    rng = random.Random(2024)
+    kinds = set()
+    for case in range(2040):
+        space = corrupted_matrix(rng, case % 13, (1, 3, 8)[case % 3])
+        report = validate_space(space)
+        assert report.violations == validate_space_reference(space).violations
+        kinds.update(v.kind for v in report.violations)
+    assert kinds == {"diagonal", "negative", "symmetry", "identity",
+                     "triangle"}
+    demos = sorted((Path(__file__).resolve().parent.parent / "demos"
+                    / "data").glob("*.ums"))
+    assert demos
+    for path in demos:
+        space = io.parse_space(path.read_text())
+        assert (validate_space(space).violations
+                == validate_space_reference(space).violations)
 
 
 def test_dimension_mismatch_is_structural():

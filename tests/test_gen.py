@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracle_utils import rand_fraction_reference, random_space_rows
+from oracle_utils import (rand_fraction_reference, random_modulus_reference,
+                          random_space_rows)
 from urylab import FiniteMetricSpace, validate_space
-from urylab.gen import rand_fraction, random_space
+from urylab.gen import rand_fraction, random_modulus, random_space
 
 
 @pytest.mark.parametrize("scale", [4, 1, F(1, 3), F(7, 2)])
@@ -56,3 +57,16 @@ def test_rand_fraction_matches_the_fraction_bounds():
         assert type(value) is F
         assert rng.getstate() == ref_rng.getstate()
         assert lo <= value <= hi
+
+
+@pytest.mark.parametrize("slope_hi", [0, 1, 4])
+@pytest.mark.parametrize("den", [1, 3, 8])
+@pytest.mark.parametrize("pieces", [1, 3, 8, 16])
+def test_random_modulus_matches_the_fraction_draws(pieces, den, slope_hi):
+    for seed in range(20):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        m = random_modulus(rng, pieces, den, slope_hi)
+        assert m == random_modulus_reference(ref_rng, pieces, den, slope_hi)
+        assert rng.getstate() == ref_rng.getstate()
+    if slope_hi == 0:  # every slope takes rand_fraction's return-lo branch
+        assert m.final_slope == F(1, den)

@@ -356,6 +356,22 @@ def test_cli_amalgamate_midpoint(tmp_path, capsys):
     assert merged.d(merged.index("p0"), merged.index("p1")) == 3
 
 
+def test_cli_amalgamate_non_metric_input_exits_2(tmp_path, capsys):
+    a = tmp_path / "a.ums"
+    a.write_text(VIOLATION_UMS)
+    b = tmp_path / "b.ums"
+    b.write_text("points 3\nlabels a b m\nrow 0 1 10\nrow 1 0 1\n"
+                 "row 10 1 0\n")
+    out = tmp_path / "merged.ums"
+    assert run_cli(tmp_path, "amalgamate", a, b, "--policy", "midpoint",
+                   "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: no distance from new point 'm' to 'c': lower bound 7 via "
+        "'a' exceeds upper bound 2 via 'b'; an input is not metric\n")
+
+
 def test_cli_extend_mc(tmp_path, capsys):
     sx = tmp_path / "x.ums"
     sx.write_text("points 2\nlabels x0 p\nrow 0 1\nrow 1 0\n")
