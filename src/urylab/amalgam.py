@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .core import FiniteMetricSpace, Rational, rat
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError
 
-Policy = str  # 'minimal' | 'midpoint' | 'maximal' | 'explicit'
+Policy = str  # 'minimal' | 'midpoint' | 'maximal'
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class AmalgamInterval:
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if not 0 <= self.lo <= self.hi:
-            raise StructuralError(f"bad amalgamation interval [{self.lo}, {self.hi}]")
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -46,7 +42,9 @@ def one_point_interval(d0: Sequence[Rational],
     """Interval of valid distances d(p0, p1) given both points' distances to Z.
 
     Any choice in [lo, hi] with positive value yields a metric on the union;
-    choosing lo = 0 identifies the two points (minimal amalgamation).
+    choosing lo = 0 identifies the two points (minimal amalgamation).  An
+    empty interval, which no metric gives, raises ``PreconditionError``
+    naming the positions of the shared points that set its two ends.
     """
     if not d0 or len(d0) != len(d1):
         raise PreconditionError("need equal-length nonempty distance lists over Z")
@@ -54,8 +52,14 @@ def one_point_interval(d0: Sequence[Rational],
     b = [rat(v) for v in d1]
     if any(v <= 0 for v in a + b):
         raise PreconditionError("distances to the shared part must be positive")
-    lo = max(abs(x - y) for x, y in zip(a, b))
-    hi = min(x + y for x, y in zip(a, b))
+    gaps = [abs(x - y) for x, y in zip(a, b)]
+    sums = [x + y for x, y in zip(a, b)]
+    lo, hi = max(gaps), min(sums)
+    if lo > hi:
+        raise PreconditionError(
+            f"empty amalgamation interval: lower bound {lo} via shared point "
+            f"{gaps.index(lo)} exceeds upper bound {hi} via shared point "
+            f"{sums.index(hi)}; the distances are not metric")
     return AmalgamInterval(lo, hi)
 
 
@@ -70,20 +74,8 @@ def _choose(lo: Fraction, hi: Fraction, policy: Policy) -> Fraction:
     raise PreconditionError(f"unknown policy {policy!r}")
 
 
-def _explicit(interval: AmalgamInterval, value: Optional[Fraction]) -> Fraction:
-    if value is None:
-        raise PreconditionError("explicit policy needs a value for every new pair")
-    if not interval.contains(value):
-        raise PreconditionError(
-            f"explicit value {value} outside feasible interval "
-            f"[{interval.lo}, {interval.hi}]")
-    return value
-
-
 def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
-               policy: Policy = "minimal",
-               explicit: Optional[Mapping[tuple[str, str], Rational]] = None,
-               ) -> FiniteMetricSpace:
+               policy: Policy = "minimal") -> FiniteMetricSpace:
     """Merge two spaces agreeing on their shared labels into one metric space.
 
     Extra points of ``x1`` are attached one at a time, in label order; for
@@ -102,7 +94,6 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
             if x0.d(x0.index(la), x0.index(lb)) != x1.d(x1.index(la), x1.index(lb)):
                 raise PreconditionError(
                     f"metrics disagree on shared pair ({la!r}, {lb!r})")
-    explicit = {k: rat(v) for k, v in (explicit or {}).items()}
 
     work = x0
     # alias: x1 point label -> index in `work` (grows as extras are placed)
@@ -128,11 +119,7 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
                     f"{work.labels[w]!r}: lower bound {lo} via "
                     f"{work.labels[z_lo]!r} exceeds upper bound {hi} via "
                     f"{work.labels[z_hi]!r}; an input is not metric")
-            if policy == "explicit":
-                value = _explicit(AmalgamInterval(lo, hi),
-                                  explicit.get((lab, work.labels[w])))
-            else:
-                value = _choose(lo, hi, policy)
+            value = _choose(lo, hi, policy)
             if value == 0:
                 merged_into = w
                 break

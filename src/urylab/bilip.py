@@ -469,21 +469,21 @@ class MoveResult:
 
 
 def move_point_in_ball(space: FiniteMetricSpace, x: int, r: Rational,
-                       u: int, v: int, kn: Optional[KNParams] = None,
-                       targets: Sequence[int] = (),
-                       policy: ChoicePolicy = "midpoint") -> MoveResult:
+                       u: int, v: int, targets: Sequence[int] = ()
+                       ) -> MoveResult:
     """Build a 2-bilipschitz map sending u to v, supported in B(x, r).
 
     Both u and v must lie strictly inside B(x, r/15).  An auxiliary point y
     is realized at distance 3s from x (s = r/15), collinearly beyond x from
     everything else; the seed map {(y,y), (u,v)} is compliant for (2, 4) in
-    B(y, 12s) and is then extended over the optional targets.  The returned
-    map carries identity pairs on every realized point outside B(y, 12s).
+    B(y, 12s) and is then extended over the optional targets with the
+    midpoint policy.  The returned map carries identity pairs on every
+    realized point outside B(y, 12s).
     """
     r = rat(r)
     if r <= 0:
         raise PreconditionError("ball radius must be positive")
-    kn = kn or kn_admissible(2, 4)
+    kn = kn_admissible(2, 4)
     s = r / 15
     for point in (u, v):
         if space.d(point, x) >= s:
@@ -498,7 +498,7 @@ def move_point_in_ball(space: FiniteMetricSpace, x: int, r: Rational,
     ball = Ball(y, 12 * s)
     duy, dvy = space.d(u, y), space.d(v, y)
     seed = PartialMap((y, u), (y, v))
-    fmap, space, trace = extend_dense(seed, ball, kn, targets, space, policy)
+    fmap, space, trace = extend_dense(seed, ball, kn, targets, space)
 
     outside = tuple(w for w in range(space.n)
                     if not ball.strictly_inside(space, w))

@@ -175,7 +175,7 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "radius", rat(self.radius))
         if self.radius <= 0:
-            raise StructuralError("ball radius must be positive")
+            raise PreconditionError("ball radius must be positive")
 
     def strictly_inside(self, space: FiniteMetricSpace, i: int) -> bool:
         return space.d(self.center, i) < self.radius

@@ -69,8 +69,7 @@ def random_space(rng: random.Random, n: int, scale=4,
 
 
 def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
-                         ball: Ball, den: int = 16
-                         ) -> tuple[FiniteMetricSpace, int]:
+                         ball: Ball) -> tuple[FiniteMetricSpace, int]:
     """Realize a fresh point strictly inside the ball.
 
     Tries a two-anchor Katetov prescription a few times, then falls back to
@@ -81,10 +80,10 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
         if space.n < 2:
             break
         a, b = rng.sample(range(space.n), 2)
-        rho_a = rand_fraction(rng, Fraction(1, den), r, den)
+        rho_a = rand_fraction(rng, Fraction(1, 16), r)
         dab = space.d(a, b)
         lo, hi = abs(rho_a - dab), rho_a + dab
-        rho_b = rand_fraction(rng, lo, hi, den)
+        rho_b = rand_fraction(rng, lo, hi)
         if rho_b <= 0:
             continue
         # rho_b lies in [lo, hi], so the prescription is valid; both values
@@ -92,15 +91,15 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
         full = katetov_extend(space, {a: rho_a, b: rho_b})
         if full[center] < r:
             return space.with_point(space.fresh_label(), full), space.n
-    rho = rand_fraction(rng, r / (2 * den), r * Fraction(den - 1, den), den)
+    rho = rand_fraction(rng, r / 32, r * Fraction(15, 16))
     if rho <= 0 or rho >= r:
         rho = r / 2
     return realize_point(space, {center: rho})
 
 
-def random_kn(rng: random.Random, k_hi=3) -> KNParams:
-    """Admissible (K, N) with K in (1, k_hi] and N at least K^2/(K-1)."""
-    K = 1 + rand_fraction(rng, Fraction(1, 8), rat(k_hi) - 1, 8)
+def random_kn(rng: random.Random) -> KNParams:
+    """Admissible (K, N) with K in (1, 3] and N at least K^2/(K-1)."""
+    K = 1 + rand_fraction(rng, Fraction(1, 8), 2, 8)
     N = K * K / (K - 1) + rand_fraction(rng, 0, 3, 4)
     kn = kn_admissible(K, N)
     assert kn.admissible
@@ -108,7 +107,7 @@ def random_kn(rng: random.Random, k_hi=3) -> KNParams:
 
 
 def random_compliant_instance(rng: random.Random, grow: int = 3,
-                              k_hi=3, policy: Optional[str] = None
+                              policy: Optional[str] = None
                               ) -> tuple[FiniteMetricSpace, PartialMap, Ball, KNParams]:
     """A compliant map fixing the ball center, grown by random extensions.
 
@@ -116,7 +115,7 @@ def random_compliant_instance(rng: random.Random, grow: int = 3,
     enter the domain or range, so the result is compliant by construction
     and exercises varied interval geometry.
     """
-    kn = random_kn(rng, k_hi)
+    kn = random_kn(rng)
     r = rand_fraction(rng, 4, 12, 4)
     space = FiniteMetricSpace.from_rows(("x1",), ((0,),))
     ball = Ball(0, r)
@@ -130,12 +129,11 @@ def random_compliant_instance(rng: random.Random, grow: int = 3,
 
 
 def random_outside_points(rng: random.Random, space: FiniteMetricSpace,
-                          ball: Ball, count: int,
-                          den: int = 8) -> FiniteMetricSpace:
+                          ball: Ball, count: int) -> FiniteMetricSpace:
     """Realize ``count`` points on or beyond the ball boundary."""
     center, r = ball.center, ball.radius
     for _ in range(count):
-        rho = r + rand_fraction(rng, 0, r, den)
+        rho = r + rand_fraction(rng, 0, r, 8)
         anchor = rng.randrange(space.n)
         dac = space.d(anchor, center)
         space, _ = realize_point(space, {anchor: rho + dac, center: rho})

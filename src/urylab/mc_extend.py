@@ -111,10 +111,9 @@ class ObstructionCertificate:
 
     s: Fraction
     t: Fraction
-    lhs: Fraction            # alpha_inv(s + t)
+    lhs: Fraction            # alpha_inv(s + t), floor on d(q, y1)
     rhs: Fraction            # beta(t) + alpha_inv(s)
     upper_bound: Fraction    # beta(t), cap on d(q, y0)
-    lower_bound: Fraction    # alpha_inv(s + t), floor on d(q, y1)
     range_gap: Fraction      # alpha_inv(s) = d(y0, y1)
 
     @property
@@ -165,8 +164,7 @@ def necessity_counterexample(alpha: PLFunction, beta: PLFunction,
     cert = ObstructionCertificate(
         s=s, t=t, lhs=ainv.value(s + t),
         rhs=beta.value(t) + ainv.value(s),
-        upper_bound=beta.value(t), lower_bound=ainv.value(s + t),
-        range_gap=ainv.value(s))
+        upper_bound=beta.value(t), range_gap=ainv.value(s))
     assert cert.ok
     return CounterexampleBundle(dom, rng, fmap, 2, cert)
 
@@ -177,7 +175,6 @@ class NetLevel:
     net: tuple[int, ...]
     eps: Fraction
     q: int
-    q_label: str
     gap: Optional[Fraction]          # d(q_{n-1}, q_n); None at level 0
     gap_bound: Optional[Fraction]    # 2^(-(n-1)+1)
 
@@ -256,8 +253,7 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
         # level map bicontinuous on net union {p}:
         level_map = PartialMap(tuple(net) + (p,), tuple(targets) + (q,))
         require_bicontinuous(level_map, dom_space, rng_space, alpha, beta)
-        levels.append(NetLevel(n, net, eps[n], q, rng_space.labels[q],
-                               gap, gap_bound))
+        levels.append(NetLevel(n, net, eps[n], q, gap, gap_bound))
         q_prev = q
     return NetRefinement(tuple(levels), rng_space, q_prev)
 
@@ -289,7 +285,6 @@ class WitnessCertificate:
 class SeparationWitness:
     map: PartialMap
     space: FiniteMetricSpace
-    base: int
     certificate: WitnessCertificate
 
 
@@ -349,4 +344,4 @@ def separation_witness(gamma: PLFunction, delta: MCSemigroup,
     cert = WitnessCertificate(tuple(checks), not violations,
                               len(fmap) * (len(fmap) - 1) // 2)
     assert cert.ok or depth == 0
-    return SeparationWitness(fmap, space, base, cert)
+    return SeparationWitness(fmap, space, cert)

@@ -46,6 +46,15 @@ def test_interval_empty_z_rejected():
         one_point_interval([], [])
 
 
+def test_interval_non_metric_distances_name_the_ends():
+    with pytest.raises(PreconditionError) as err:
+        one_point_interval([1, 10], [1, 1])
+    assert str(err.value) == (
+        "empty amalgamation interval: lower bound 9 via shared point 1 "
+        "exceeds upper bound 2 via shared point 0; the distances are not "
+        "metric")
+
+
 def _pair(label_a, label_b, d):
     return FiniteMetricSpace.from_rows((label_a, label_b), ((0, d), (d, 0)))
 
@@ -73,16 +82,6 @@ def test_amalgamate_minimal_identifies():
     assert merged.n == 2 + 2 - 1 - 1
 
 
-def test_amalgamate_explicit_policy():
-    x0 = _pair("p0", "z", 3)
-    x1 = _pair("z", "p1", 1)
-    merged = amalgamate(x0, x1, policy="explicit",
-                        explicit={("p1", "p0"): F(7, 2)})
-    assert merged.d(merged.index("p0"), merged.index("p1")) == F(7, 2)
-    with pytest.raises(PreconditionError):
-        amalgamate(x0, x1, policy="explicit", explicit={("p1", "p0"): 5})
-
-
 def test_amalgamate_unknown_policy_rejected():
     with pytest.raises(PreconditionError, match="unknown policy 'nearest'"):
         amalgamate(_pair("p0", "z", 3), _pair("z", "p1", 1), policy="nearest")
@@ -100,9 +99,9 @@ def test_amalgamate_non_metric_input_names_the_empty_interval():
         ("a", "b", "c"), ((0, 1, 3), (1, 0, 1), (3, 1, 0)))
     x1 = FiniteMetricSpace.from_rows(
         ("a", "b", "m"), ((0, 1, 10), (1, 0, 1), (10, 1, 0)))
-    for policy in ("minimal", "midpoint", "maximal", "explicit"):
+    for policy in ("minimal", "midpoint", "maximal"):
         with pytest.raises(PreconditionError) as err:
-            amalgamate(x0, x1, policy=policy, explicit={("m", "c"): 2})
+            amalgamate(x0, x1, policy=policy)
         assert str(err.value) == (
             "no distance from new point 'm' to 'c': lower bound 7 via 'a' "
             "exceeds upper bound 2 via 'b'; an input is not metric")
@@ -230,7 +229,7 @@ def test_realize_after_extend_fuzz():
         assert validate_space(space).ok
 
 
-def realize_then_test(rng, space, ball, den=16):
+def realize_then_test(rng, space, ball):
     """Reference two-anchor draw: realize each candidate, then test it."""
     from urylab.gen import rand_fraction
     center, r = ball.center, ball.radius
@@ -238,10 +237,10 @@ def realize_then_test(rng, space, ball, den=16):
         if space.n < 2:
             break
         a, b = rng.sample(range(space.n), 2)
-        rho_a = rand_fraction(rng, F(1, den), r, den)
+        rho_a = rand_fraction(rng, F(1, 16), r, 16)
         dab = space.d(a, b)
         lo, hi = abs(rho_a - dab), rho_a + dab
-        rho_b = rand_fraction(rng, lo, hi, den)
+        rho_b = rand_fraction(rng, lo, hi, 16)
         if rho_b <= 0 or rho_b < lo or rho_b > hi:
             continue
         try:
@@ -250,7 +249,7 @@ def realize_then_test(rng, space, ball, den=16):
             continue
         if grown.d(center, x) < r:
             return grown, x
-    rho = rand_fraction(rng, r / (2 * den), r * F(den - 1, den), den)
+    rho = rand_fraction(rng, r / 32, r * F(15, 16), 16)
     if rho <= 0 or rho >= r:
         rho = r / 2
     return realize_point(space, {center: rho})

@@ -13,6 +13,7 @@ and says in CHANGES.md which outputs changed and why.
 import contextlib
 import io as _io
 import json
+import re
 import runpy
 import sys
 import tempfile
@@ -108,6 +109,15 @@ def test_golden_output(name, tmp_path):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == codes[name]
     assert stdout == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_readme_command_paths_exist():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```sh\n")[1]
+    block = block.split("```")[0]
+    paths = re.findall(r"\S+\.(?:ums|map|mc)\b", block)
+    assert paths
+    assert [p for p in paths if not (ROOT / p).is_file()] == []
 
 
 def _regenerate():

@@ -388,6 +388,33 @@ def test_cli_extend_mc(tmp_path, capsys):
     assert "realized q1" in out and "dist y0 2" in out
 
 
+def extend_mc_with_kinked_beta(tmp_path, *extra):
+    """extend-mc on the worked instance; beta(t) >= t holds up to t = 3."""
+    beta = tmp_path / "beta.mc"
+    beta.write_text("mc\nbp 0 0\nbp 1 2\ntail 1/2\n")
+    return run_cli(tmp_path, "extend-mc", DATA / "worked.ums",
+                   DATA / "worked.ums", DATA / "worked.map",
+                   "--alpha", DATA / "identity.mc", "--beta", beta,
+                   "--point", "x", *extra)
+
+
+def test_cli_extend_mc_bound_within_the_condition(tmp_path, capsys):
+    assert extend_mc_with_kinked_beta(tmp_path) == 0
+    plain = capsys.readouterr().out
+    assert extend_mc_with_kinked_beta(tmp_path, "--bound", "3") == 0
+    assert capsys.readouterr().out == plain
+    assert "bicontinuous exact pairs=1" in plain
+
+
+def test_cli_extend_mc_bound_past_the_condition_exits_2(tmp_path, capsys):
+    assert extend_mc_with_kinked_beta(tmp_path, "--bound", "4") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: moduli fail alpha_inv(s)+beta(t) >= alpha_inv(s+t) at "
+        "(s, t) = (0, 4):")
+
+
 def test_cli_witness(tmp_path, capsys):
     gamma = tmp_path / "gamma.mc"
     gamma.write_text("mc\nbp 0 0\nbp 1/256 1/16\nbp 1/64 1/8\nbp 1/16 1/4\n"
@@ -439,6 +466,20 @@ def test_cli_exponent_radius_is_parse_error(tmp_path, capsys):
         "extend-bilip", space, fmap, "--center", "x1", "--radius", "1e3",
         "--K", "2", "--N", "4", "--target", "x")])
     assert_parse_error(rc, capsys)
+
+
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_cli_nonpositive_radius_exits_2(capsys, radius):
+    inputs = (DATA / "worked.ums", DATA / "worked.map")
+    trace = GOLDEN / "extend-bilip-midpoint.txt"
+    for command in (("extend-bilip",) + inputs,
+                    ("verify-trace", trace) + inputs):
+        rc = main([str(a) for a in command + (
+            "--center", "x1", "--radius", radius, "--K", "2", "--N", "4",
+            "--target", "x")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: ball radius must be positive\n"
 
 
 def test_cli_unwritable_out_is_parse_error(tmp_path, capsys):

@@ -105,7 +105,7 @@ def test_necessity_certificate_at_one_one():
     assert validate_space(bundle.rng_space).ok
     # independent re-verification: any q obeying both bounds breaks the
     # triangle through y0
-    assert cert.lower_bound > cert.upper_bound + cert.range_gap
+    assert cert.lhs > cert.upper_bound + cert.range_gap
 
 
 def test_necessity_scaled_instance():
@@ -219,7 +219,7 @@ def test_separation_witness_certificate():
     for c in cert.scale_checks:
         assert c.gamma_value > c.generator_value
     assert validate_space(w.space).ok
-    assert w.map.image_of(w.base) == w.base
+    assert w.map.image_of(0) == 0
 
 
 def test_separation_witness_depth_zero():
