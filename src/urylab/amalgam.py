@@ -33,9 +33,6 @@ class AmalgamInterval:
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
 
 def one_point_interval(d0: Sequence[Rational],
                        d1: Sequence[Rational]) -> AmalgamInterval:

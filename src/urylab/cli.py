@@ -29,16 +29,22 @@ from .moduli import MCSemigroup
 
 
 def _read(path: str) -> str:
+    """The file's text, decoded as strict UTF-8."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 "
+                         f"({exc.reason})") from None
 
 
 def _emit(report: str, out: Optional[str]) -> None:
     if out:
         try:
-            Path(out).write_text(report)
+            Path(out).write_text(report, encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot write {out}: {exc}") from None
     sys.stdout.write(report)
@@ -115,7 +121,7 @@ def cmd_extend_mc(args) -> int:
     ext = extend_one_point_mc(fmap, dom, rng_space, alpha, beta, p,
                               bound=bound)
     lines = [f"# extend-mc point={args.point}",
-             f"realized {ext.q_label}"]
+             f"realized {ext.rng_space.labels[ext.q]}"]
     for y in range(ext.rng_space.n - 1):
         lines.append(f"dist {ext.rng_space.labels[y]} "
                      f"{ext.rng_space.d(ext.q, y)}")

@@ -267,7 +267,7 @@ def campaign_mc(seed: int, count: int) -> list[str]:
         ball = Ball(0, dom.diameter() + 1)
         dom, p = random_point_in_ball(rng, dom, ball)
         ext = extend_one_point_mc(f, dom, rng_space, alpha, beta, p)
-        out.append(f"i={i} q={ext.q_label} ok=true")
+        out.append(f"i={i} q={ext.rng_space.labels[ext.q]} ok=true")
     return out
 
 

@@ -56,7 +56,6 @@ class McExtension:
     map: PartialMap
     rng_space: FiniteMetricSpace
     q: int
-    q_label: str
 
 
 def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
@@ -97,7 +96,7 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
     grown, q = realize_point(rng_space, values)
     new_map = f.extended(p, q)
     require_bicontinuous(new_map, dom_space, grown, alpha, beta)
-    return McExtension(new_map, grown, q, grown.labels[q])
+    return McExtension(new_map, grown, q)
 
 
 @dataclass(frozen=True)

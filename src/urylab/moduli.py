@@ -11,7 +11,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .core import Rational, rat
 from .errors import PreconditionError, StructuralError
@@ -43,29 +44,47 @@ class PLFunction:
         return cls(tuple((rat(t), rat(v)) for t, v in points),
                    rat(final_slope))
 
+    @cached_property
+    def _knots(self) -> tuple[Fraction, ...]:
+        return tuple(t for t, _ in self.breakpoints)
+
+    @cached_property
+    def _slopes(self) -> tuple[Fraction, ...]:
+        out = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1)
+               in zip(self.breakpoints, self.breakpoints[1:])]
+        out.append(self.final_slope)
+        return tuple(out)
+
+    def _on_segment(self, k: int, t: Fraction) -> Fraction:
+        """The line of segment k at t; segment 0 also covers t below its knot."""
+        t0, v0 = self.breakpoints[k]
+        return v0 + self._slopes[k] * (t - t0)
+
     def value(self, t: Rational) -> Fraction:
         t = rat(t)
         if t < 0:
             raise PreconditionError("moduli are defined on [0, oo)")
-        bps = self.breakpoints
-        last_t, last_v = bps[-1]
-        if t >= last_t or len(bps) == 1:
-            return last_v + self.final_slope * (t - last_t)
-        k = bisect_right([u for u, _ in bps], t) - 1
-        if k < 0:
-            # below the first breakpoint: extend the first segment back
-            k = 0
-        t0, v0 = bps[k]
-        t1, v1 = bps[k + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return self._on_segment(max(bisect_right(self._knots, t) - 1, 0), t)
+
+    def _values_ascending(self, ts: Iterable[Fraction]) -> list[Fraction]:
+        """``value`` at each of the nondecreasing, nonnegative ``ts``.
+
+        The segment index only moves forward, so the whole sequence costs
+        one pass over the knots instead of one bisection per argument.
+        """
+        knots = self._knots
+        last = len(knots) - 1
+        k = 0
+        out = []
+        for t in ts:
+            while k < last and knots[k + 1] <= t:
+                k += 1
+            out.append(self._on_segment(k, t))
+        return out
 
     def slopes(self) -> tuple[Fraction, ...]:
         """Segment slopes in order, the tail slope last."""
-        out = []
-        for (t0, v0), (t1, v1) in zip(self.breakpoints, self.breakpoints[1:]):
-            out.append((v1 - v0) / (t1 - t0))
-        out.append(self.final_slope)
-        return tuple(out)
+        return self._slopes
 
     @property
     def first_slope(self) -> Fraction:
@@ -76,11 +95,15 @@ class PLFunction:
         return self.breakpoints[-1][0]
 
     def knot_abscissas(self) -> tuple[Fraction, ...]:
-        return tuple(t for t, _ in self.breakpoints)
+        return self._knots
 
     def inverse(self) -> "PLFunction":
         """Exact inverse; the inverse of a concave modulus is convex."""
-        if any(s <= 0 for s in self.slopes()):
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PLFunction":
+        if any(s <= 0 for s in self._slopes):
             raise PreconditionError("only strictly increasing PL maps invert")
         return PLFunction(tuple((v, t) for t, v in self.breakpoints),
                           1 / self.final_slope)
@@ -239,12 +262,12 @@ def _star_on_box(alpha: PLFunction, beta: PLFunction, bound: Fraction,
     """Worst violation of alpha_inv(s) + beta(t) >= alpha_inv(s+t) on the box."""
     ainv = alpha.inverse()
     s_coords, t_coords = _box_grid(ainv, beta, bound)
+    b_ts = beta._values_ascending(t_coords)
     worst = None
-    for s in s_coords:
-        a_s = ainv.value(s)
-        for t in t_coords:
-            lhs = a_s + beta.value(t)
-            rhs = ainv.value(s + t)
+    for s, a_s in zip(s_coords, ainv._values_ascending(s_coords)):
+        rhss = ainv._values_ascending(s + t for t in t_coords)
+        for t, b_t, rhs in zip(t_coords, b_ts, rhss):
+            lhs = a_s + b_t
             if lhs < rhs and (worst is None or lhs - rhs < worst[2] - worst[3]):
                 worst = (s, t, lhs, rhs, direction)
     return worst

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 from urylab.core import ValidationReport, Violation
 from urylab.errors import StructuralError
-from urylab.moduli import PLFunction, is_modulus
+from urylab.moduli import PLFunction, _box_grid, is_modulus
 
 
 def feasible_e(space, ball, K, N, pairs, x, prior_e, m, candidate):
@@ -215,3 +215,33 @@ def validate_space_reference(space):
                         "triangle", (i, j, k),
                         f"{d[i][k]} > {d[i][j]} + {d[j][k]}"))
     return ValidationReport(tuple(out))
+
+
+def pl_value_reference(points, slope, t):
+    """PL evaluation by the two-point formula on the bracketing knots."""
+    if t >= points[-1][0] or len(points) == 1:
+        return points[-1][1] + slope * (t - points[-1][0])
+    k = max([0] + [i for i, (u, _) in enumerate(points[:-1]) if u <= t])
+    (t0, v0), (t1, v1) = points[k], points[k + 1]
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def star_on_box_reference(alpha, beta, bound, direction):
+    """The per-vertex scan of the compatibility grid, each value evaluated
+    afresh by the two-point formula: the same vertices, order and strict
+    "worse" test as moduli._star_on_box, without its segment walk."""
+    inv_points = [(v, t) for t, v in alpha.breakpoints]
+
+    def ainv(x):
+        return pl_value_reference(inv_points, 1 / alpha.final_slope, x)
+
+    s_coords, t_coords = _box_grid(alpha.inverse(), beta, bound)
+    worst = None
+    for s in s_coords:
+        a_s = ainv(s)
+        for t in t_coords:
+            lhs = a_s + pl_value_reference(beta.breakpoints, beta.final_slope, t)
+            rhs = ainv(s + t)
+            if lhs < rhs and (worst is None or lhs - rhs < worst[2] - worst[3]):
+                worst = (s, t, lhs, rhs, direction)
+    return worst

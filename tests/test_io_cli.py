@@ -482,6 +482,35 @@ def test_cli_nonpositive_radius_exits_2(capsys, radius):
         assert captured.err == "error: ball radius must be positive\n"
 
 
+def test_cli_space_with_a_non_utf8_byte_is_parse_error(tmp_path, capsys):
+    space = tmp_path / "s.ums"
+    space.write_bytes(b"points 2\nlabels a b\nrow 0 \xff\nrow 1 0\n")
+    assert main(["validate", str(space)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"parse error: {space}: byte 26 is not valid UTF-8 " \
+                  "(invalid start byte)\n"
+
+
+def test_cli_modulus_with_a_non_utf8_byte_is_parse_error(tmp_path, capsys):
+    alpha = tmp_path / "alpha.mc"
+    alpha.write_bytes(b"mc\nbp 0 0\nbp 1 \xff\ntail 1/2\n")
+    assert main(["counterexample", "--alpha", str(alpha), "--beta",
+                 str(DATA / "identity.mc"), "--s", "1", "--t", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"parse error: {alpha}: byte 15 is not valid UTF-8 "
+        "(invalid start byte)\n")
+
+
+def test_cli_out_is_written_as_utf8(tmp_path, capsys):
+    space = tmp_path / "s.ums"
+    space.write_bytes("points 2\nlabels \u00e9 b\nrow 0 1\nrow 1 0\n"
+                      .encode("utf-8"))
+    out = tmp_path / "report.txt"
+    assert main(["validate", str(space), "--out", str(out)]) == 0
+    assert out.read_bytes().decode("utf-8") == capsys.readouterr().out
+
+
 def test_cli_unwritable_out_is_parse_error(tmp_path, capsys):
     space = tmp_path / "s.ums"
     space.write_text(WORKED_UMS)

@@ -1,10 +1,13 @@
 """Piecewise-linear modulus algebra, the germ order, and compatibility."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracle_utils import pl_value_reference, star_on_box_reference
 from urylab import (MCSemigroup, PLFunction, PreconditionError, compatible,
                     is_modulus, linear, modulus_compose, modulus_inverse,
                     modulus_precedes, modulus_validate, star_condition)
@@ -197,3 +200,75 @@ def test_modulus_requires_origin():
     assert any("(0, 0)" in msg for msg in modulus_validate(shifted))
     with pytest.raises(PreconditionError):
         modulus_inverse(shifted)
+
+
+def _probes(f):
+    """Every knot, every midpoint between knots, and two tail points."""
+    knots = f.knot_abscissas()
+    return (list(knots) + [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+            + [knots[-1] + F(1, 3), 2 * knots[-1] + 5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(1, 16))
+def test_value_matches_the_two_point_formula(seed, pieces):
+    m = random_modulus(random.Random(seed), pieces)
+    for f in (m, m.inverse()):
+        for t in _probes(f):
+            assert f.value(t) == pl_value_reference(f.breakpoints,
+                                                    f.final_slope, t)
+    for t in _probes(m):
+        assert m.inverse().value(m.value(t)) == t
+    if len(m.breakpoints) > 1:
+        # drop the origin, so the first segment extends back below its knot
+        cut = PLFunction(m.breakpoints[1:], m.final_slope)
+        first = cut.knot_abscissas()[0]
+        for t in (F(0), first / 3, first):
+            assert cut.value(t) == pl_value_reference(cut.breakpoints,
+                                                      cut.final_slope, t)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(1, 16),
+       product=st.sampled_from((F(1), F(15, 16), F(1, 2))))
+@example(seed=3, pieces=16, product=F(15, 16))  # fails by its tails alone
+def test_compatible_matches_the_reference_scan(seed, pieces, product):
+    # the tail-slope product decides the verdict past the box; 1 passes,
+    # 15/16 mostly fails in the tails alone and 1/2 mostly inside the box
+    rng = random.Random(seed)
+    p, q = random_modulus(rng, pieces), random_modulus(rng, pieces)
+    q = q.scale(product / (p.final_slope * q.final_slope))
+    for alpha, beta in ((p, q), (q, p)):
+        report = compatible(alpha, beta)
+        # the last knots of alpha, beta and of their inverses
+        box = max(alpha.breakpoints[-1] + beta.breakpoints[-1])
+        assert report.box == box
+        hit = (star_on_box_reference(alpha, beta, box, 1)
+               or star_on_box_reference(beta, alpha, box, 2))
+        if hit is not None or product == 1:
+            assert (report.ok, report.witness) == (hit is None, hit)
+            continue
+        assert not report.ok
+        s, t, lhs, rhs, direction = report.witness
+        assert direction == 1 and s > alpha.breakpoints[-1][1]
+        inv = [(v, u) for u, v in alpha.breakpoints]
+        slope = 1 / alpha.final_slope
+        assert lhs == (pl_value_reference(inv, slope, s)
+                       + pl_value_reference(beta.breakpoints,
+                                            beta.final_slope, t))
+        assert rhs == pl_value_reference(inv, slope, s + t) > lhs
+
+
+def test_cached_tables_leave_equality_hash_and_repr_alone():
+    m = random_modulus(random.Random(47), 8)
+    fresh = PLFunction(m.breakpoints, m.final_slope)
+    m.value(F(1, 3))
+    m.inverse().value(F(5, 2))
+    m.slopes()
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    inv = PLFunction(fresh.inverse().breakpoints, fresh.inverse().final_slope)
+    assert m.inverse() == inv and repr(m.inverse()) == repr(inv)
+    with pytest.raises(FrozenInstanceError):
+        m.final_slope = F(1)
+    with pytest.raises(FrozenInstanceError):
+        m.breakpoints = fresh.breakpoints
