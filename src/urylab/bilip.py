@@ -35,23 +35,19 @@ class KNParams:
     Admissible means K > 1 and N >= K^2/(K-1); this is the radical-free form
     of requiring K to lie in the closed interval
     [(N - sqrt(N^2-4N))/2, (N + sqrt(N^2-4N))/2] with N >= 4, and it is the
-    only form evaluated here (no square roots).  ``reciprocal_sum_ok``
-    records whether 1/N + 1/K <= 1, which admissibility implies.
+    only form evaluated here (no square roots).  Admissibility implies
+    1/N + 1/K <= 1.
     """
 
     K: Fraction
     N: Fraction
     admissible: bool
-    reciprocal_sum_ok: bool
 
 
 def kn_admissible(K: Rational, N: Rational) -> KNParams:
     """Classify a (K, N) pair.  Total: any rationals are accepted."""
     K, N = rat(K), rat(N)
-    admissible = K > 1 and N * (K - 1) >= K * K
-    reciprocal = K > 0 and N > 0 and Fraction(1) / N + Fraction(1) / K <= 1
-    assert not admissible or reciprocal
-    return KNParams(K, N, admissible, reciprocal)
+    return KNParams(K, N, K > 1 and N * (K - 1) >= K * K)
 
 
 @dataclass(frozen=True)
@@ -418,7 +414,6 @@ class GlueReport:
 
     ok: bool
     witness: Optional[tuple[int, int]]
-    vacuous: bool
     pairs_checked: int
 
     def __bool__(self) -> bool:
@@ -441,7 +436,7 @@ def glue_identity_check(f: PartialMap, ball: Ball, kn: KNParams,
                if not ball.strictly_inside(space, w)]
     lip_value, lip_witness = lip_details(f, space)
     if lip_value > K:
-        return GlueReport(False, lip_witness, False, len(f) * (len(f) - 1) // 2)
+        return GlueReport(False, lip_witness, len(f) * (len(f) - 1) // 2)
     checked = len(f) * (len(f) - 1) // 2
     for u, fu in f.pairs():
         for w in outside:
@@ -449,8 +444,8 @@ def glue_identity_check(f: PartialMap, ball: Ball, kn: KNParams,
             dfw = space.d(fu, w)
             checked += 1
             if dfw > K * duw or duw > K * dfw:
-                return GlueReport(False, (u, w), False, checked)
-    return GlueReport(True, None, not outside, checked)
+                return GlueReport(False, (u, w), checked)
+    return GlueReport(True, None, checked)
 
 
 @dataclass(frozen=True)

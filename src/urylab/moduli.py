@@ -259,8 +259,17 @@ def _box_grid(alpha_inv: PLFunction, beta: PLFunction, bound: Fraction
 
 def _star_on_box(alpha: PLFunction, beta: PLFunction, bound: Fraction,
                  direction: int) -> Optional[tuple]:
-    """Worst violation of alpha_inv(s) + beta(t) >= alpha_inv(s+t) on the box."""
+    """Worst violation of alpha_inv(s) + beta(t) >= alpha_inv(s+t) on the box.
+
+    The far corner decides whether there is one.  For moduli alpha and beta,
+    g(s, t) = alpha_inv(s) + beta(t) - alpha_inv(s+t) is nonincreasing in s
+    (alpha_inv is convex) and concave in t with g(s, 0) = 0, so its minimum
+    on [0, bound]^2 is min(0, g(bound, bound)).  Only when that corner fails
+    is the vertex grid scanned, to name the worst vertex as the witness.
+    """
     ainv = alpha.inverse()
+    if ainv.value(bound) + beta.value(bound) >= ainv.value(2 * bound):
+        return None
     s_coords, t_coords = _box_grid(ainv, beta, bound)
     b_ts = beta._values_ascending(t_coords)
     worst = None
@@ -302,6 +311,9 @@ def star_condition(alpha: PLFunction, beta: PLFunction,
     Returns None when it holds, else a witnessing (s, t, lhs, rhs, 1).  The
     box is enlarged to cover every breakpoint of alpha_inv and beta; nothing
     beyond it is checked, so the tail slopes are left to :func:`compatible`.
+    On a box [0, S]^2 the condition holds exactly when it holds at the far
+    corner (S, S), so that one comparison settles the verdict; the vertex
+    grid is walked only to name the worst violation.
     """
     require_modulus(alpha)
     require_modulus(beta)
@@ -315,10 +327,13 @@ def compatible(alpha: PLFunction, beta: PLFunction,
     """Decide the two-sided compatibility of a modulus pair, exactly.
 
     Checks alpha_inv(s) + beta(t) >= alpha_inv(s+t) and the mirrored
-    beta_inv(s) + alpha(t) >= beta_inv(s+t) on a vertex grid of the box
-    [0, S]^2, with S at least ``bound`` and large enough to cover every
-    breakpoint of the four PL maps involved; tail slopes settle the rest of
-    the quadrant, so the verdict covers all s, t >= 0.
+    beta_inv(s) + alpha(t) >= beta_inv(s+t) on the box [0, S]^2, with S at
+    least ``bound`` and large enough to cover every breakpoint of the four
+    PL maps involved; tail slopes settle the rest of the quadrant, so the
+    verdict covers all s, t >= 0.  Each condition holds on the box exactly
+    when it holds at the far corner (S, S) (see :func:`_star_on_box`); a
+    failing corner sends the check to the vertex grid, which names the worst
+    violating vertex as the witness.
     """
     require_modulus(alpha)
     require_modulus(beta)

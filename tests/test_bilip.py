@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from urylab import (Ball, DegenerateInputError, ExtensionTrace,
                     FiniteMetricSpace, PartialMap, PreconditionError,
@@ -26,10 +27,21 @@ def radical_interval_oracle(K, N):
 
 
 def test_kn_boundary_examples():
-    kn = kn_admissible(2, 4)
-    assert kn.admissible and kn.reciprocal_sum_ok
+    assert kn_admissible(2, 4).admissible
     assert not kn_admissible(F(3, 2), 4).admissible  # K^2/(K-1) = 9/2 > 4
     assert not kn_admissible(1, 100).admissible
+
+
+@settings(deadline=None)
+@given(K=st.fractions(-4, 40, max_denominator=64),
+       N=st.fractions(-4, 160, max_denominator=64))
+@example(K=F(2), N=F(4))
+@example(K=F(3, 2), N=F(9, 2))
+@example(K=F(11, 10), N=F(121, 10))
+def test_admissible_implies_reciprocal_sum_at_most_one(K, N):
+    if kn_admissible(K, N).admissible:
+        assert K > 0 and N > 0
+        assert F(1) / N + F(1) / K <= 1
 
 
 def test_kn_matches_radical_interval_oracle():
@@ -397,14 +409,17 @@ def test_glue_identity_map_true():
     space = FiniteMetricSpace.from_rows(
         ("x1", "a", "w"), ((0, 1, 8), (1, 0, 8), (8, 8, 0)))
     f = PartialMap((0, 1), (0, 1))
-    report = glue_identity_check(f, Ball(0, 4), kn_admissible(2, 4), space)
-    assert report.ok and not report.vacuous
+    ball = Ball(0, 4)
+    report = glue_identity_check(f, ball, kn_admissible(2, 4), space)
+    assert report.ok
+    assert not ball.strictly_inside(space, 2)
 
 
 def test_glue_vacuous_without_outside_points():
     space, ball, kn, f = worked_setup()
     report = glue_identity_check(f, ball, kn, space)
-    assert report.ok and report.vacuous
+    assert report.ok
+    assert all(ball.strictly_inside(space, w) for w in range(space.n))
 
 
 def test_glue_worked_instance_with_outside_points():
@@ -412,7 +427,8 @@ def test_glue_worked_instance_with_outside_points():
     f, space, _ = extend_one_point(f, ball, kn, 1, "domain", space)
     space = random_outside_points(random.Random(6), space, ball, 5)
     report = glue_identity_check(f, ball, kn, space)
-    assert report.ok and not report.vacuous
+    assert report.ok
+    assert not all(ball.strictly_inside(space, w) for w in range(space.n))
 
 
 def test_glue_shrunk_ball_fails_with_mixed_witness():

@@ -11,7 +11,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urylab import bilip, cli, io
 from urylab.bilip import Ball, extend_dense, kn_admissible
@@ -719,3 +719,53 @@ def test_cli_exit_code_on_mutated_artifacts(case):
                 contextlib.redirect_stderr(StringIO()):
             rc = main(argv)
     assert rc in (0, 1, 2, 3)
+
+
+# The line that must accompany exit 1, for each command that can return it.
+WITNESS_LINE = {
+    "validate": lambda line: line.startswith("violation "),
+    "extend-bilip": lambda line: "compliant=false" in line,
+    "verify-trace": lambda line: line.startswith("FAIL: "),
+    "witness": lambda line: "exceeds=false" in line or " ok=false" in line,
+}
+
+
+@st.composite
+def file_bytes(draw, text):
+    """Arbitrary bytes, or the text with a BOM, CRLF ends or a NUL byte."""
+    raw = text.encode("utf-8")
+    kind = draw(st.sampled_from(("binary", "bom", "crlf", "nul")))
+    if kind == "binary":
+        return draw(st.binary(max_size=256))
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + raw
+    if kind == "crlf":
+        return raw.replace(b"\n", b"\r\n")
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + b"\x00" + raw[at:]
+
+
+@pytest.mark.parametrize("template, texts", COMMANDS,
+                         ids=[t.split()[0] for t, _ in COMMANDS])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+@example(data=None)  # a lone 0xff in every file argument
+def test_cli_contract_on_any_input_bytes(template, texts, data):
+    if data is None:
+        contents = [b"\xff"] * len(texts)
+    else:
+        contents = [data.draw(file_bytes(text)) for text in texts]
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, raw in enumerate(contents):
+            path = Path(tmp) / f"input{k}"
+            path.write_bytes(raw)
+            paths.append(str(path))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(template.format(*paths).split())
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        witness = WITNESS_LINE[template.split()[0]]
+        assert any(witness(line) for line in out.getvalue().splitlines())

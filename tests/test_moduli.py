@@ -259,6 +259,41 @@ def test_compatible_matches_the_reference_scan(seed, pieces, product):
         assert rhs == pl_value_reference(inv, slope, s + t) > lhs
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(1, 16),
+       product=st.sampled_from((F(1), F(15, 16), F(1, 2))),
+       reach=st.fractions(0, 2, max_denominator=16))
+@example(seed=1, pieces=2, product=F(1, 2), reach=F(0))
+def test_star_condition_matches_the_reference_scan(seed, pieces, product,
+                                                   reach):
+    # the corner gate against the full per-vertex scan, on boxes from the
+    # last knot up to twice past it; with products below 1 the tails
+    # fail, yet many boxes still pass and must report None
+    rng = random.Random(seed)
+    p, q = random_modulus(rng, pieces), random_modulus(rng, pieces)
+    q = q.scale(product / (p.final_slope * q.final_slope))
+    bound = reach * max(p.breakpoints[-1] + q.breakpoints[-1])
+    for alpha, beta in ((p, q), (q, p)):
+        box = max(bound, alpha.breakpoints[-1][1], beta.breakpoints[-1][0])
+        assert star_condition(alpha, beta, bound) \
+            == star_on_box_reference(alpha, beta, box, 1)
+
+
+def test_compatible_exactly_when_the_tail_slopes_multiply_to_one():
+    # g(s, t) is nonincreasing in s, so its infimum is the s -> oo limit
+    # beta(t) - t/final_slope(alpha), which is nonnegative for every t
+    # exactly when the tail slopes multiply to at least 1
+    rng = random.Random(48)
+    products = (None, F(1), F(15, 16), F(17, 16), F(1, 2), F(2))
+    for k in range(60):
+        alpha, beta = random_modulus(rng, 8), random_modulus(rng, 8)
+        product = products[k % len(products)]
+        if product is not None:
+            beta = beta.scale(product / (alpha.final_slope * beta.final_slope))
+        assert compatible(alpha, beta).ok \
+            == (alpha.final_slope * beta.final_slope >= 1)
+
+
 def test_cached_tables_leave_equality_hash_and_repr_alone():
     m = random_modulus(random.Random(47), 8)
     fresh = PLFunction(m.breakpoints, m.final_slope)
