@@ -6,7 +6,7 @@ Run:  python demos/01_workspaces_and_amalgams.py
 from fractions import Fraction as F
 
 from urylab import (FiniteMetricSpace, amalgamate, katetov_extend,
-                    one_point_interval, realize_point, validate_space)
+                    realize_point, validate_space)
 
 # A space is a labeled symmetric matrix of Fractions.  Validation scans
 # every axiom exactly and names the witnesses of anything broken.
@@ -30,15 +30,20 @@ print("realized", grown.labels[new], "at",
 print("still a metric space:", validate_space(grown).ok)
 
 # Amalgamation merges two spaces that agree on their shared labels.  For a
-# single unknown pair the feasible interval is explicit:
-print("\ninterval for d0=3, d1=1:", str(one_point_interval([3], [1])))
-
+# single unknown pair the minimal and maximal policies pick the two ends of
+# its feasible interval:
 x0 = FiniteMetricSpace.from_rows(("p0", "z"), ((0, 3), (3, 0)))
 x1 = FiniteMetricSpace.from_rows(("z", "p1"), ((0, 1), (1, 0)))
-for policy in ("minimal", "midpoint", "maximal"):
+
+
+def d01(policy):
     merged = amalgamate(x0, x1, policy=policy)
-    d = merged.d(merged.index("p0"), merged.index("p1"))
-    print(f"policy {policy:8s} -> d(p0, p1) = {d}")
+    return merged.d(merged.index("p0"), merged.index("p1"))
+
+
+print(f"\ninterval for d0=3, d1=1: [{d01('minimal')}, {d01('maximal')}]")
+for policy in ("minimal", "midpoint", "maximal"):
+    print(f"policy {policy:8s} -> d(p0, p1) = {d01(policy)}")
 
 # With lower bound zero, the minimal policy identifies the two new points:
 y0 = FiniteMetricSpace.from_rows(("p0", "z"), ((0, 1), (1, 0)))

@@ -8,8 +8,7 @@ piecewise-linear moduli of continuity, and exact semimetrics on the group of
 bilipschitz automorphisms.
 """
 
-from .amalgam import (AmalgamInterval, amalgamate, katetov_extend,
-                      one_point_interval, realize_point)
+from .amalgam import amalgamate, katetov_extend, realize_point
 from .bilip import (ComplianceCertificate, ExtensionStep, ExtensionTrace,
                     GlueReport, KNParams, MoveResult, affine_constants,
                     extend_dense, extend_one_point, glue_identity_check,
@@ -32,7 +31,7 @@ from .moduli import (CompatibilityReport, MCSemigroup, PLFunction, compatible,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmalgamInterval", "AutoMap", "Ball", "CompatibilityReport",
+    "AutoMap", "Ball", "CompatibilityReport",
     "ComplianceCertificate", "CounterexampleBundle", "DegenerateInputError",
     "ExtensionStep", "ExtensionTrace", "FiniteMetricSpace", "GlueReport",
     "GoodnessReport", "GroupDistance", "InfeasibleError", "KNParams",
@@ -46,6 +45,6 @@ __all__ = [
     "katetov_extend", "kn_admissible", "linear", "lip_constant",
     "modulus_compose", "modulus_inverse", "modulus_precedes",
     "modulus_validate", "move_point_in_ball", "necessity_counterexample",
-    "one_point_interval", "rat", "realize_point", "segment_transport_bound",
+    "rat", "realize_point", "segment_transport_bound",
     "separation_witness", "star_condition", "validate_space",
 ]

@@ -16,16 +16,13 @@ from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .amalgam import _choose, _katetov_fill, realize_point
+from .amalgam import Chooser, Policy, _katetov_fill, chooser, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
                    Rational, goodness_check, lip_details, map_in_ball, rat)
 from .errors import DegenerateInputError, InfeasibleError, PreconditionError
 
 if TYPE_CHECKING:  # io imports this module
     from .io import TraceLine
-
-ChoicePolicy = str  # 'midpoint' | 'minimal' | 'maximal'
-_Chooser = Callable[[Fraction, Fraction], Fraction]  # picks e_m in [lo, hi]
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,9 @@ def _bounds(ctx: tuple, m: int) -> list[Bound]:
 
     ``ctx`` is the tuple of values :func:`_solve_new_distances` fixes once
     per solve; its list ``e`` of chosen distances is read only at e[:m].
+    IE2 is ``amalgam.amalgamate``'s one-point interval written out one bound
+    per l, because ``SolveRecord.lowers``/``uppers`` re-derive every bound
+    with its family.
     """
     space, K, N, r, ys, dv, sv, Kd, cap_d, e = ctx
     row = space.dist[ys[m]]               # d(y_m, .)
@@ -156,7 +156,7 @@ def _bounds(ctx: tuple, m: int) -> list[Bound]:
 
 def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                          pairs: Sequence[tuple[int, int]], x: int,
-                         choose: _Chooser,
+                         choose: Chooser,
                          ) -> tuple[list[Fraction], Fraction, list[SolveRecord]]:
     """Solve for the new point's distances e_1..e_n to the existing range.
 
@@ -249,7 +249,7 @@ def _certify_seed(f: PartialMap, ball: Ball, kn: KNParams,
 
 def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
                      side: str, space: FiniteMetricSpace,
-                     policy: ChoicePolicy = "midpoint",
+                     policy: Policy = "midpoint",
                      ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """Add x to the map's domain (or range), preserving compliance.
 
@@ -258,12 +258,13 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
     no-op.  The new partner point is realized through a Katetov prescription
     carrying the solved distances, so the workspace grows by one point.
     The input map is certified in full (O(n^2)) before anything is solved.
+    An unknown policy raises on entry, even for a no-op.
     """
+    choose = chooser(policy)
     if side not in ("domain", "range"):
         raise PreconditionError(f"side must be 'domain' or 'range', got {side!r}")
     _certify_seed(f, ball, kn, space)
-    return _extend_step(f, ball, kn, x, side, space,
-                        partial(_choose, policy=policy))
+    return _extend_step(f, ball, kn, x, side, space, choose)
 
 
 def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
@@ -307,7 +308,7 @@ def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
 
 
 def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
-                 space: FiniteMetricSpace, choose: _Chooser,
+                 space: FiniteMetricSpace, choose: Chooser,
                  ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """``extend_one_point`` for a map already certified compliant.
 
@@ -341,7 +342,7 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
 
 def _back_and_forth(f: PartialMap, ball: Ball, kn: KNParams,
                     targets: Sequence[int], space: FiniteMetricSpace,
-                    choose: _Chooser,
+                    choose: Chooser,
                     ) -> Iterator[tuple[PartialMap, FiniteMetricSpace,
                                         ExtensionStep]]:
     """Certify f once, then yield (map, space, step) per target and side."""
@@ -354,7 +355,7 @@ def _back_and_forth(f: PartialMap, ball: Ball, kn: KNParams,
 
 def extend_dense(f: PartialMap, ball: Ball, kn: KNParams,
                  targets: Sequence[int], space: FiniteMetricSpace,
-                 policy: ChoicePolicy = "midpoint",
+                 policy: Policy = "midpoint",
                  ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionTrace]:
     """Back-and-forth driver: put every target in both domain and range.
 
@@ -362,11 +363,12 @@ def extend_dense(f: PartialMap, ball: Ball, kn: KNParams,
     map stays (K, N)-compliant.  For targets forming a fine net this is the
     desk-scale form of extending over a totally bounded set.  The seed map
     is certified in full once, before any step; every step proves only its
-    new row.
+    new row.  An unknown policy raises on entry, even with no targets.
     """
+    choose = chooser(policy)
     trace = ExtensionTrace()
     for f, space, step in _back_and_forth(f, ball, kn, targets, space,
-                                          partial(_choose, policy=policy)):
+                                          choose):
         trace.steps.append(step)
     return f, space, trace
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import gen, io
-from .amalgam import amalgamate
+from .amalgam import POLICIES, amalgamate
 from .bilip import (Ball, extend_dense, is_compliant, kn_admissible,
                     verify_trace_lines)
 from .core import FiniteMetricSpace, PartialMap, validate_space
@@ -233,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amalgamate", help="merge two spaces over shared labels")
     p.add_argument("space0")
     p.add_argument("space1")
-    p.add_argument("--policy", default="minimal",
-                   choices=("minimal", "midpoint", "maximal"))
+    p.add_argument("--policy", default="minimal", choices=POLICIES)
     add_out(p)
     p.set_defaults(func=cmd_amalgamate)
 
@@ -243,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("map")
     add_ball(p)
-    p.add_argument("--policy", default="midpoint",
-                   choices=("midpoint", "minimal", "maximal"))
+    p.add_argument("--policy", default="midpoint", choices=POLICIES)
     p.add_argument("--target", action="append", default=[], required=True)
     add_out(p)
     p.set_defaults(func=cmd_extend_bilip)

@@ -12,15 +12,13 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .amalgam import katetov_extend, realize_point
+from .amalgam import POLICIES, katetov_extend, realize_point
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
 from .core import FiniteMetricSpace, PartialMap, rat
 from .errors import PreconditionError
 from .groupmetric import AutoMap, dist_L, dist_S
 from .moduli import PLFunction, compatible, is_modulus, linear
-
-POLICIES = ("midpoint", "minimal", "maximal")
 
 
 def rand_fraction(rng: random.Random, lo, hi, den: int = 16) -> Fraction:

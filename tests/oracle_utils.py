@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 from urylab.core import ValidationReport, Violation
 from urylab.errors import StructuralError
-from urylab.moduli import PLFunction, _box_grid, is_modulus
+from urylab.moduli import PLFunction, is_modulus
 
 
 def feasible_e(space, ball, K, N, pairs, x, prior_e, m, candidate):
@@ -226,6 +226,20 @@ def pl_value_reference(points, slope, t):
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
+def box_grid_reference(alpha, beta, bound):
+    """Abscissas (s, t) of the cell vertices on [0, bound]^2 where
+    alpha^-1(s) + beta(t) - alpha^-1(s + t) is affine per cell: the knots
+    of alpha^-1 (the ordinates of alpha's breakpoints) in s, those of beta
+    in t, their differences along s + t = knot, and the box edges."""
+    ka = {v for _, v in alpha.breakpoints}
+    kb = {u for u, _ in beta.breakpoints}
+    edge = {F(0), bound}
+    s_coords = ka | edge | {a - b for a in ka for b in kb | edge}
+    t_coords = kb | edge | {a - c for a in ka for c in ka | edge}
+    return ([s for s in sorted(s_coords) if 0 <= s <= bound],
+            [t for t in sorted(t_coords) if 0 <= t <= bound])
+
+
 def star_on_box_reference(alpha, beta, bound, direction):
     """The per-vertex scan of the compatibility grid, each value evaluated
     afresh by the two-point formula: the same vertices, order and strict
@@ -235,7 +249,7 @@ def star_on_box_reference(alpha, beta, bound, direction):
     def ainv(x):
         return pl_value_reference(inv_points, 1 / alpha.final_slope, x)
 
-    s_coords, t_coords = _box_grid(alpha.inverse(), beta, bound)
+    s_coords, t_coords = box_grid_reference(alpha, beta, bound)
     worst = None
     for s in s_coords:
         a_s = ainv(s)

@@ -1,4 +1,8 @@
-"""Amalgamation intervals, space merging, and Katetov realization."""
+"""Amalgamation intervals, space merging, and Katetov realization.
+
+The one-point interval is read off ``amalgamate``: with a single unknown
+pair its minimal and maximal results are the interval's two ends.
+"""
 
 import random
 from fractions import Fraction as F
@@ -6,57 +10,80 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from urylab import (FiniteMetricSpace, PreconditionError, amalgamate,
-                    katetov_extend, one_point_interval, realize_point,
+from urylab import (FiniteMetricSpace, PartialMap, PreconditionError,
+                    amalgamate, extend_dense, extend_one_point,
+                    katetov_extend, kn_admissible, realize_point,
                     validate_space)
 from urylab.amalgam import katetov_violations
 from urylab.core import Ball
 from urylab.gen import random_point_in_ball, random_space
 
 
+def _pair(label_a, label_b, d):
+    return FiniteMetricSpace.from_rows((label_a, label_b), ((0, d), (d, 0)))
+
+
+def _restrict(space, idx, labels):
+    """The subspace on the points ``idx``, relabeled by ``labels``."""
+    return FiniteMetricSpace.from_rows(
+        labels, [[space.d(i, j) for j in idx] for i in idx])
+
+
+def _ends(x0, x1):
+    """d(p0, p1) under the minimal and maximal policies: with one unknown
+    pair these are the ends of its interval (0 when p1 merges into p0)."""
+    out = []
+    for policy in ("minimal", "maximal"):
+        merged = amalgamate(x0, x1, policy=policy)
+        p1 = merged.labels.index("p1") if "p1" in merged.labels else None
+        out.append(0 if p1 is None else merged.d(merged.index("p0"), p1))
+    return tuple(out)
+
+
 def test_interval_single_shared_point():
-    iv = one_point_interval([3], [1])
-    assert (iv.lo, iv.hi) == (2, 4)
+    assert _ends(_pair("p0", "z", 3), _pair("z", "p1", 1)) == (2, 4)
 
 
 def test_interval_two_shared_points():
-    iv = one_point_interval([1, 5], [2, 2])
-    assert (iv.lo, iv.hi) == (3, 3)
+    # d(p0, .) = (1, 5) and d(., p1) = (2, 2) over z0, z1 at distance 4
+    x0 = FiniteMetricSpace.from_rows(
+        ("p0", "z0", "z1"), ((0, 1, 5), (1, 0, 4), (5, 4, 0)))
+    x1 = FiniteMetricSpace.from_rows(
+        ("z0", "z1", "p1"), ((0, 4, 2), (4, 0, 2), (2, 2, 0)))
+    assert _ends(x0, x1) == (3, 3)
 
 
 def test_interval_identification_case():
-    iv = one_point_interval([1], [1])
-    assert (iv.lo, iv.hi) == (0, 2)
+    assert _ends(_pair("p0", "z", 1), _pair("z", "p1", 1)) == (0, 2)
 
 
 def test_interval_lo_le_hi_on_random_consistent_data():
     rng = random.Random(11)
     for _ in range(50):
         space = random_space(rng, 5)
-        p0, p1 = 3, 4
-        z = [0, 1, 2]
-        iv = one_point_interval([space.d(p0, i) for i in z],
-                                [space.d(i, p1) for i in z])
-        assert 0 <= iv.lo <= iv.hi
-        assert iv.lo <= space.d(p0, p1) <= iv.hi
+        x0 = _restrict(space, (0, 1, 2, 3), ("z0", "z1", "z2", "p0"))
+        x1 = _restrict(space, (0, 1, 2, 4), ("z0", "z1", "z2", "p1"))
+        lo, hi = _ends(x0, x1)
+        assert 0 <= lo <= space.d(3, 4) <= hi
 
 
 def test_interval_empty_z_rejected():
-    with pytest.raises(PreconditionError):
-        one_point_interval([], [])
+    with pytest.raises(PreconditionError, match="^spaces share no points$"):
+        amalgamate(_pair("a", "b", 1), _pair("c", "d", 1))
 
 
 def test_interval_non_metric_distances_name_the_ends():
-    with pytest.raises(PreconditionError) as err:
-        one_point_interval([1, 10], [1, 1])
-    assert str(err.value) == (
-        "empty amalgamation interval: lower bound 9 via shared point 1 "
-        "exceeds upper bound 2 via shared point 0; the distances are not "
-        "metric")
-
-
-def _pair(label_a, label_b, d):
-    return FiniteMetricSpace.from_rows((label_a, label_b), ((0, d), (d, 0)))
+    # d(p0, .) = (1, 10) and d(., p1) = (1, 1) over z0, z1 at distance 2
+    x0 = FiniteMetricSpace.from_rows(
+        ("p0", "z0", "z1"), ((0, 1, 10), (1, 0, 2), (10, 2, 0)))
+    x1 = FiniteMetricSpace.from_rows(
+        ("z0", "z1", "p1"), ((0, 2, 1), (2, 0, 1), (1, 1, 0)))
+    for policy in ("minimal", "midpoint", "maximal"):
+        with pytest.raises(PreconditionError) as err:
+            amalgamate(x0, x1, policy=policy)
+        assert str(err.value) == (
+            "no distance from new point 'p1' to 'p0': lower bound 9 via "
+            "'z1' exceeds upper bound 2 via 'z0'; an input is not metric")
 
 
 def test_amalgamate_subset_is_noop():
@@ -83,8 +110,23 @@ def test_amalgamate_minimal_identifies():
 
 
 def test_amalgamate_unknown_policy_rejected():
-    with pytest.raises(PreconditionError, match="unknown policy 'nearest'"):
-        amalgamate(_pair("p0", "z", 3), _pair("z", "p1", 1), policy="nearest")
+    # on entry, even where nothing would be chosen
+    x0 = random_space(random.Random(0), 4)
+    sub = _restrict(x0, (0, 1), x0.labels[:2])
+    center = FiniteMetricSpace.from_rows(("c", "x"), ((0, 1), (1, 0)))
+    ball, kn, f = Ball(0, 10), kn_admissible(2, 4), PartialMap((0,), (0,))
+    calls = [
+        lambda: amalgamate(_pair("p0", "z", 3), _pair("z", "p1", 1),
+                           policy="nearest"),
+        lambda: amalgamate(x0, sub, policy="nearest"),
+        lambda: extend_dense(f, ball, kn, [], center, policy="nearest"),
+        lambda: extend_one_point(f, ball, kn, 0, "domain", center,
+                                 policy="nearest"),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == "unknown policy 'nearest'"
 
 
 def test_amalgamate_disagreement_on_z_rejected():

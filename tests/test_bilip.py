@@ -319,6 +319,19 @@ def test_extend_unknown_policy_rejected():
         extend_one_point(f, ball, kn, 1, "domain", space, "nearest")
 
 
+@pytest.mark.parametrize("policy", ["midpoint", "minimal", "maximal"])
+def test_extend_a_target_at_the_ball_edge(policy):
+    # the target sits at r(1 - 10^-6), so its image must land in the last
+    # millionth of the ball: a ball test tighter than e_1 < r rejects it
+    r = F(10)
+    edge = r * (1 - F(1, 10**6))
+    space = FiniteMetricSpace.from_rows(("c", "x"), ((0, edge), (edge, 0)))
+    ball, kn, f = Ball(0, r), kn_admissible(2, 4), PartialMap((0,), (0,))
+    g, grown, _ = extend_dense(f, ball, kn, [1], space, policy)
+    assert 1 in g.domain and 1 in g.images
+    assert is_compliant(g, ball, kn, grown).ok
+
+
 def test_extend_requires_fixed_center():
     space = FiniteMetricSpace.from_rows(("x1", "x"), ((0, 1), (1, 0)))
     with pytest.raises(PreconditionError):

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle_utils import pl_value_reference, star_on_box_reference
+from oracle_utils import (box_grid_reference, pl_value_reference,
+                          star_on_box_reference)
 from urylab import (MCSemigroup, PLFunction, PreconditionError, compatible,
                     is_modulus, linear, modulus_compose, modulus_inverse,
                     modulus_precedes, modulus_validate, star_condition)
@@ -277,6 +278,43 @@ def test_star_condition_matches_the_reference_scan(seed, pieces, product,
         box = max(bound, alpha.breakpoints[-1][1], beta.breakpoints[-1][0])
         assert star_condition(alpha, beta, bound) \
             == star_on_box_reference(alpha, beta, box, 1)
+
+
+def _deficit(alpha, beta, s, t):
+    """g(s, t) = alpha^-1(s) + beta(t) - alpha^-1(s + t), by the two-point
+    formula."""
+    inv = [(v, u) for u, v in alpha.breakpoints]
+    slope = 1 / alpha.final_slope
+    return (pl_value_reference(inv, slope, s)
+            + pl_value_reference(beta.breakpoints, beta.final_slope, t)
+            - pl_value_reference(inv, slope, s + t))
+
+
+def test_a_box_witness_sits_on_the_far_edge_at_the_first_minimum():
+    # g(s, t) = alpha^-1(s) + beta(t) - alpha^-1(s + t) is nonincreasing in
+    # s and concave in t with g(s, 0) = 0, so on [0, S]^2 every t < S has
+    # g(s, t) > g(S, S) once g(S, S) < 0: the worst vertex lies on t = S,
+    # at the first s where g(s, S) reaches g(S, S)
+    rng = random.Random(49)
+    witnesses = 0
+    for k in range(120):
+        p, q = random_modulus(rng, 6), random_modulus(rng, 6)
+        q = q.scale((F(1), F(15, 16), F(1, 2))[k % 3]
+                    / (p.final_slope * q.final_slope))
+        reach = F(rng.randint(1, 32), 16)
+        for alpha, beta in ((p, q), (q, p)):
+            box = reach * max(alpha.breakpoints[-1] + beta.breakpoints[-1])
+            hit = star_on_box_reference(alpha, beta, box, 1)
+            if hit is None:
+                continue
+            witnesses += 1
+            corner = _deficit(alpha, beta, box, box)
+            s_coords, _ = box_grid_reference(alpha, beta, box)
+            s, t, lhs, rhs, _ = hit
+            assert t == box and lhs - rhs == corner < 0
+            assert s == next(x for x in s_coords
+                             if _deficit(alpha, beta, x, box) == corner)
+    assert witnesses >= 40, witnesses
 
 
 def test_compatible_exactly_when_the_tail_slopes_multiply_to_one():
