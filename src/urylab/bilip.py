@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .amalgam import Chooser, Policy, _katetov_fill, chooser, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
                    Rational, goodness_check, lip_details, map_in_ball, rat)
 from .errors import DegenerateInputError, InfeasibleError, PreconditionError
-
-if TYPE_CHECKING:  # io imports this module
-    from .io import TraceLine
 
 
 @dataclass(frozen=True)
@@ -61,12 +58,15 @@ class ComplianceCertificate:
 
 def is_compliant(f: PartialMap, ball: Ball, kn: KNParams,
                  space: FiniteMetricSpace) -> ComplianceCertificate:
-    """Exact certificate that f is K-bilipschitz and N-bigood in the ball."""
+    """Exact certificate that f is K-bilipschitz and N-bigood in the ball.
+
+    ``goodness_check`` runs first: it rejects a point on or beyond the
+    boundary before any distance is compared.
+    """
     if not kn.admissible:
         raise PreconditionError(f"(K, N) = ({kn.K}, {kn.N}) not admissible")
-    map_in_ball(f, ball, space)
-    lip_value, lip_witness = lip_details(f, space)
     goodness = goodness_check(f, ball, kn.N, space)
+    lip_value, lip_witness = lip_details(f, space)
     lip_ok = lip_value <= kn.K
     return ComplianceCertificate(lip_ok and goodness.ok, lip_ok, lip_value,
                                  lip_witness, goodness)
@@ -104,6 +104,19 @@ class SolveRecord:
 
 
 @dataclass(frozen=True)
+class TraceLine:
+    """One solved distance of a trace: the record a trace file line holds."""
+
+    m: int
+    side: str          # 'd' | 'r'
+    lo: Fraction
+    hi: Fraction
+    e: Fraction
+    s: Fraction
+    point: str
+
+
+@dataclass(frozen=True)
 class ExtensionStep:
     """One point added to the domain or range of the map."""
 
@@ -115,6 +128,17 @@ class ExtensionStep:
     s: Optional[Fraction] = None
     realized: Optional[int] = None
     realized_label: Optional[str] = None
+
+    @property
+    def tag(self) -> str:
+        """The side as a trace writes it: 'd' or 'r'."""
+        return "d" if self.side == "domain" else "r"
+
+    def lines(self) -> tuple[TraceLine, ...]:
+        """The step's trace lines, one per solved distance (none for a noop)."""
+        return tuple(TraceLine(rec.m, self.tag, rec.lo, rec.hi, rec.chosen,
+                               self.s, self.realized_label)
+                     for rec in self.solves)
 
 
 @dataclass
@@ -206,12 +230,11 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
         if lo > hi:
             raise InfeasibleError(
                 f"empty interval for e_{m + 1}: {lo_family} gives {lo} > "
-                f"{hi} from {hi_family}", lo_family, lo, hi_family, hi)
+                f"{hi} from {hi_family}")
         chosen = choose(lo, hi)
         if not lo <= chosen <= hi:
             raise InfeasibleError(
-                f"chosen e_{m + 1} = {chosen} outside [{lo}, {hi}]",
-                lo_family, lo, hi_family, hi)
+                f"chosen e_{m + 1} = {chosen} outside [{lo}, {hi}]")
         records.append(SolveRecord(m + 1, lo, hi, lo_family, hi_family,
                                    chosen, partial(_bounds, ctx, m)))
         e.append(chosen)
@@ -394,15 +417,11 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
     try:
         for _, _, step in _back_and_forth(fmap, ball, kn, targets, space,
                                           recorded):
-            tag = "d" if step.side == "domain" else "r"
-            for rec, ln in zip(step.solves, pending):
+            for got, ln in zip(step.lines(), pending):
                 done += 1
-                got = (rec.m, tag, rec.lo, rec.hi, rec.chosen, step.s,
-                       step.realized_label)
-                want = (ln.m, ln.side, ln.lo, ln.hi, ln.e, ln.s, ln.point)
-                if got != want:
+                if got != ln:
                     return False, (f"line {done}: recomputed "
-                                   f"{got} != recorded {want}")
+                                   f"{got} != recorded {ln}")
     except (InfeasibleError, PreconditionError) as exc:
         return False, str(exc)
     if done != len(lines):
@@ -412,11 +431,16 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
 
 @dataclass(frozen=True)
 class GlueReport:
-    """Outcome of checking f together with the identity outside the ball."""
+    """Outcome of checking f together with the identity outside the ball.
+
+    ``glued`` is that union map and ``witness`` its worst pair, if the
+    stretch exceeds K.
+    """
 
     ok: bool
     witness: Optional[tuple[int, int]]
     pairs_checked: int
+    glued: PartialMap
 
     def __bool__(self) -> bool:
         return self.ok
@@ -426,28 +450,19 @@ def glue_identity_check(f: PartialMap, ball: Ball, kn: KNParams,
                         space: FiniteMetricSpace) -> GlueReport:
     """Is (f union identity-outside-the-ball) K-bilipschitz over the workspace?
 
-    Checked exactly on every pair: both points in dom(f), and the mixed pairs
-    of one domain point against each workspace point on or beyond the
-    boundary.  With no outside points the answer is vacuously true.
+    The glued map is f plus the identity on every workspace point on or
+    beyond the boundary; its stretch is checked exactly on every pair.
     """
     if 1 + Fraction(1) / kn.N > kn.K:
         raise PreconditionError("gluing needs 1 + 1/N <= K")
     map_in_ball(f, ball, space)
-    K = kn.K
-    outside = [w for w in range(space.n)
-               if not ball.strictly_inside(space, w)]
-    lip_value, lip_witness = lip_details(f, space)
-    if lip_value > K:
-        return GlueReport(False, lip_witness, len(f) * (len(f) - 1) // 2)
-    checked = len(f) * (len(f) - 1) // 2
-    for u, fu in f.pairs():
-        for w in outside:
-            duw = space.d(u, w)
-            dfw = space.d(fu, w)
-            checked += 1
-            if dfw > K * duw or duw > K * dfw:
-                return GlueReport(False, (u, w), checked)
-    return GlueReport(True, None, checked)
+    outside = tuple(w for w in range(space.n)
+                    if not ball.strictly_inside(space, w))
+    glued = PartialMap(f.domain + outside, f.images + outside)
+    lip_value, lip_witness = lip_details(glued, space)
+    ok = lip_value <= kn.K
+    return GlueReport(ok, None if ok else lip_witness,
+                      len(glued) * (len(glued) - 1) // 2, glued)
 
 
 @dataclass(frozen=True)
@@ -496,13 +511,9 @@ def move_point_in_ball(space: FiniteMetricSpace, x: int, r: Rational,
     duy, dvy = space.d(u, y), space.d(v, y)
     seed = PartialMap((y, u), (y, v))
     fmap, space, trace = extend_dense(seed, ball, kn, targets, space)
-
-    outside = tuple(w for w in range(space.n)
-                    if not ball.strictly_inside(space, w))
-    glued = PartialMap(fmap.domain + outside, fmap.images + outside)
     report = glue_identity_check(fmap, ball, kn, space)
     assert report.ok
-    return MoveResult(glued, space, trace, y, ball, s, False, duy, dvy)
+    return MoveResult(report.glued, space, trace, y, ball, s, False, duy, dvy)
 
 
 def segment_transport_bound(length: Rational, r: Rational) -> tuple[int, int]:

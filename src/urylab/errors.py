@@ -26,15 +26,7 @@ class DegenerateInputError(PreconditionError):
 class InfeasibleError(UrylabError):
     """A feasibility interval came up empty.
 
-    Carries the two conflicting bounds.  Emptiness is never silently clamped:
-    for compliant inputs nonemptiness is a theorem, so hitting this means a
-    violated precondition (or a bug upstream).
+    The message names the two conflicting bounds.  Emptiness is never
+    silently clamped: for compliant inputs nonemptiness is a theorem, so
+    hitting this means a violated precondition (or a bug upstream).
     """
-
-    def __init__(self, message: str, lower_family: str = "", lower=None,
-                 upper_family: str = "", upper=None):
-        super().__init__(message)
-        self.lower_family = lower_family
-        self.lower = lower
-        self.upper_family = upper_family
-        self.upper = upper

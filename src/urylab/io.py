@@ -6,11 +6,10 @@ all artifacts are human-diffable and byte-stable.  ``#`` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bilip import ExtensionTrace
+from .bilip import ExtensionTrace, TraceLine
 from .core import FiniteMetricSpace, PartialMap
 from .errors import ParseError
 from .moduli import PLFunction
@@ -136,29 +135,15 @@ def format_modulus(m: PLFunction) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class TraceLine:
-    m: int
-    side: str          # 'd' | 'r'
-    lo: Fraction
-    hi: Fraction
-    e: Fraction
-    s: Fraction
-    point: str
-
-
 def format_trace(trace: ExtensionTrace) -> str:
     """One line per solved distance; m restarts at 1 for each added point."""
     out = []
     for step in trace.steps:
         if step.noop:
-            out.append(f"# noop {step.target_label} side="
-                       f"{'d' if step.side == 'domain' else 'r'}")
-            continue
-        side = "d" if step.side == "domain" else "r"
-        for rec in step.solves:
-            out.append(f"step {rec.m} side={side} interval=[{rec.lo},{rec.hi}]"
-                       f" e={rec.chosen} s={step.s} point={step.realized_label}")
+            out.append(f"# noop {step.target_label} side={step.tag}")
+        out.extend(f"step {ln.m} side={ln.side} interval=[{ln.lo},{ln.hi}]"
+                   f" e={ln.e} s={ln.s} point={ln.point}"
+                   for ln in step.lines())
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -51,6 +51,33 @@ def require_bicontinuous(f: PartialMap, dom_space: FiniteMetricSpace,
             f"({dom_space.labels[a]!r}, {dom_space.labels[b]!r}): {msg}")
 
 
+def _certify_input(f: PartialMap, dom_space: FiniteMetricSpace,
+                   rng_space: FiniteMetricSpace, alpha: PLFunction,
+                   beta: PLFunction, p: int, box: Fraction) -> None:
+    """Raise unless a new image for p can be prescribed from f.
+
+    Checked in this order: both moduli valid, p outside dom(f), f nonempty
+    and bicontinuous, and alpha_inv(s) + beta(t) >= alpha_inv(s + t) on
+    [0, box]^2.
+    """
+    require_modulus(alpha, "alpha")
+    require_modulus(beta, "beta")
+    if p in f.domain:
+        raise PreconditionError("new point already in the domain")
+    if not f.domain:
+        raise PreconditionError("cannot extend an empty map")
+    require_bicontinuous(f, dom_space, rng_space, alpha, beta)
+    hit = star_condition(alpha, beta, box)
+    if hit is not None:
+        s, t, lhs, rhs = hit[:4]
+        raise PreconditionError(
+            f"moduli fail alpha_inv(s)+beta(t) >= alpha_inv(s+t) at "
+            f"(s, t) = ({s}, {t}): {lhs} < {rhs}; with such moduli a new "
+            f"image is obstructed by the triangle inequality between the "
+            f"upper bound through one point and the lower bound through "
+            f"another")
+
+
 @dataclass(frozen=True)
 class McExtension:
     map: PartialMap
@@ -64,28 +91,12 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
                         bound: Rational = 0) -> McExtension:
     """Realize an image q for the new domain point p via the shortest-path rule.
 
-    Preconditions are checked exactly: f bicontinuous on all pairs, p outside
-    dom(f), and alpha_inv(s) + beta(t) >= alpha_inv(s + t) on a box covering
-    the domain diameter (or the given larger ``bound``).  The extended map is
-    re-verified pair by pair.
+    Preconditions are checked exactly by :func:`_certify_input`, on a box
+    covering the domain diameter (or the given larger ``bound``).  The
+    extended map is re-verified pair by pair.
     """
-    require_modulus(alpha, "alpha")
-    require_modulus(beta, "beta")
-    if p in f.domain:
-        raise PreconditionError("new point already in the domain")
-    require_bicontinuous(f, dom_space, rng_space, alpha, beta)
-    if not f.domain:
-        raise PreconditionError("cannot extend an empty map")
-    box = max(rat(bound), dom_space.diameter())
-    hit = star_condition(alpha, beta, box)
-    if hit is not None:
-        s, t, lhs, rhs = hit[:4]
-        raise PreconditionError(
-            f"moduli fail alpha_inv(s)+beta(t) >= alpha_inv(s+t) at "
-            f"(s, t) = ({s}, {t}): {lhs} < {rhs}; with such moduli a new "
-            f"image is obstructed by the triangle inequality between the "
-            f"upper bound through one point and the lower bound through "
-            f"another")
+    _certify_input(f, dom_space, rng_space, alpha, beta, p,
+                   max(rat(bound), dom_space.diameter()))
 
     # Prescribed on the images only; realize_point completes the rest by the
     # same shortest-path rule, which by the triangle inequality gives the
@@ -124,8 +135,6 @@ class ObstructionCertificate:
 class CounterexampleBundle:
     dom_space: FiniteMetricSpace
     rng_space: FiniteMetricSpace
-    map: PartialMap
-    p: int
     certificate: ObstructionCertificate
 
 
@@ -149,30 +158,25 @@ def necessity_counterexample(alpha: PLFunction, beta: PLFunction,
         raise PreconditionError(
             "alpha_inv exceeds beta near 0; no bicontinuous map exists at "
             "any scale for this pair")
-    if ainv.value(s) + beta.value(t) >= ainv.value(s + t):
+    gap, cap = ainv.value(s), beta.value(t)
+    cert = ObstructionCertificate(s=s, t=t, lhs=ainv.value(s + t),
+                                  rhs=cap + gap, upper_bound=cap,
+                                  range_gap=gap)
+    if not cert.ok:
         raise PreconditionError(
             f"the star condition actually holds at ({s}, {t})")
 
     dom = FiniteMetricSpace.from_rows(
         ("x0", "x1", "p"),
         ((0, s, t), (s, 0, s + t), (t, s + t, 0)))
-    rng = FiniteMetricSpace.from_rows(
-        ("y0", "y1"),
-        ((0, ainv.value(s)), (ainv.value(s), 0)))
-    fmap = PartialMap((0, 1), (0, 1))
-    cert = ObstructionCertificate(
-        s=s, t=t, lhs=ainv.value(s + t),
-        rhs=beta.value(t) + ainv.value(s),
-        upper_bound=beta.value(t), range_gap=ainv.value(s))
-    assert cert.ok
-    return CounterexampleBundle(dom, rng, fmap, 2, cert)
+    rng = FiniteMetricSpace.from_rows(("y0", "y1"), ((0, gap), (gap, 0)))
+    return CounterexampleBundle(dom, rng, cert)
 
 
 @dataclass(frozen=True)
 class NetLevel:
     n: int
     net: tuple[int, ...]
-    eps: Fraction
     q: int
     gap: Optional[Fraction]          # d(q_{n-1}, q_n); None at level 0
     gap_bound: Optional[Fraction]    # 2^(-(n-1)+1)
@@ -197,20 +201,13 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
     form a chain.  Level n realizes q_n for f restricted to nets[n]; q_{n+1}
     is attached to q_n by minimal amalgamation, with the exact gap bound
     d(q_n, q_{n+1}) < 2^(-n+1).  The final level's map is bicontinuous on
-    the deepest net, verified exactly.
+    the deepest net, verified exactly.  The input is checked by
+    :func:`_certify_input` on a box covering the domain diameter.
     """
-    require_modulus(alpha, "alpha")
-    require_modulus(beta, "beta")
-    require_bicontinuous(f, dom_space, rng_space, alpha, beta)
-    if p in f.domain:
-        raise PreconditionError("new point already in the domain")
+    _certify_input(f, dom_space, rng_space, alpha, beta, p,
+                   dom_space.diameter())
     if not nets or len(nets) != len(eps):
         raise PreconditionError("need one epsilon per net")
-    hit = star_condition(alpha, beta, dom_space.diameter())
-    if hit is not None:
-        raise PreconditionError(
-            f"moduli fail the one-point extension condition at "
-            f"(s, t) = ({hit[0]}, {hit[1]})")
 
     image = dict(f.pairs())
     nets = [tuple(net) for net in nets]
@@ -252,7 +249,7 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
         # level map bicontinuous on net union {p}:
         level_map = PartialMap(tuple(net) + (p,), tuple(targets) + (q,))
         require_bicontinuous(level_map, dom_space, rng_space, alpha, beta)
-        levels.append(NetLevel(n, net, eps[n], q, gap, gap_bound))
+        levels.append(NetLevel(n, net, q, gap, gap_bound))
         q_prev = q
     return NetRefinement(tuple(levels), rng_space, q_prev)
 

@@ -322,22 +322,20 @@ def star_condition(alpha: PLFunction, beta: PLFunction,
     return _star_on_box(alpha, beta, box, 1)
 
 
-def compatible(alpha: PLFunction, beta: PLFunction,
-               bound: Rational = 0) -> CompatibilityReport:
+def compatible(alpha: PLFunction, beta: PLFunction) -> CompatibilityReport:
     """Decide the two-sided compatibility of a modulus pair, exactly.
 
     Checks alpha_inv(s) + beta(t) >= alpha_inv(s+t) and the mirrored
-    beta_inv(s) + alpha(t) >= beta_inv(s+t) on the box [0, S]^2, with S at
-    least ``bound`` and large enough to cover every breakpoint of the four
-    PL maps involved; tail slopes settle the rest of the quadrant, so the
-    verdict covers all s, t >= 0.  Each condition holds on the box exactly
-    when it holds at the far corner (S, S) (see :func:`_star_on_box`); a
-    failing corner sends the check to the vertex grid, which names the worst
-    violating vertex as the witness.
+    beta_inv(s) + alpha(t) >= beta_inv(s+t) on the box [0, S]^2, with S the
+    last breakpoint of the four PL maps involved; tail slopes settle the
+    rest of the quadrant, so the verdict covers all s, t >= 0.  Each
+    condition holds on the box exactly when it holds at the far corner
+    (S, S) (see :func:`_star_on_box`); a failing corner sends the check to
+    the vertex grid, which names the worst violating vertex as the witness.
     """
     require_modulus(alpha)
     require_modulus(beta)
-    box = max(rat(bound), alpha.inverse().last_knot, beta.last_knot,
+    box = max(alpha.inverse().last_knot, beta.last_knot,
               beta.inverse().last_knot, alpha.last_knot)
     hit = (_star_on_box(alpha, beta, box, 1)
            or _star_on_box(beta, alpha, box, 2) or _tail_witness(alpha, beta))

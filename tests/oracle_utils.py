@@ -137,6 +137,22 @@ def assert_condition_g(trace, seed, ball, kn, space):
     return current
 
 
+def glue_reference(f, ball, K, space):
+    """Is f together with the identity outside the ball K-bilipschitz?
+
+    The mixed-pair scan, stated raw: every pair of domain points, then each
+    domain point against each workspace point on or beyond the boundary.
+    """
+    pairs = list(zip(f.domain, f.images))
+    outside = [w for w in range(space.n)
+               if space.d(ball.center, w) >= ball.radius]
+    checks = [(space.d(a, b), space.d(fa, fb))
+              for i, (a, fa) in enumerate(pairs) for b, fb in pairs[i + 1:]]
+    checks += [(space.d(u, w), space.d(fu, w))
+               for u, fu in pairs for w in outside]
+    return all(e <= K * d and d <= K * e for d, e in checks)
+
+
 def center_first_pairs(f, center):
     return [(center, center)] + [p for p in f.pairs() if p[0] != center]
 

@@ -17,7 +17,7 @@ from urylab.cli import verify_trace_lines
 from urylab.gen import (random_compliant_instance, random_outside_points,
                         random_point_in_ball)
 from oracle_utils import (assert_condition_g, assert_pairwise_bounds,
-                          center_first_pairs, feasible_e)
+                          center_first_pairs, feasible_e, glue_reference)
 
 
 def radical_interval_oracle(K, N):
@@ -458,6 +458,32 @@ def test_glue_shrunk_ball_fails_with_mixed_witness():
     # exact failing ratio: d(f(x), w) = 68/16 > 2 * 33/16 = K * d(x, w)
     assert space.d(f.image_of(1), w) == F(68, 16)
     assert space.d(1, w) == F(33, 16)
+
+
+def test_glue_check_agrees_with_the_mixed_pair_scan():
+    # criterion-04 instances, each glued once in its own ball and once in a
+    # ball shrunk to just past the map, with a point realized on the shrunk
+    # boundary straight beyond the domain point most displaced for its
+    # depth, so both verdicts occur
+    rng = random.Random(4040)
+    verdicts = []
+    for _ in range(100):
+        space, f, ball, kn = random_compliant_instance(
+            rng, grow=rng.randint(1, 3))
+        space = random_outside_points(rng, space, ball, 5)
+        c = ball.center
+        reach = max(space.d(c, z) for z in f.domain + f.images)
+        u = max(f.domain, key=lambda z: space.d(z, f.image_of(z))
+                - (kn.K - 1) * (reach - space.d(z, c)))
+        rho = reach + (ball.radius - reach) * F(rng.randint(1, 8), 64)
+        small = Ball(c, rho)
+        space, _ = realize_point(space, {u: rho - space.d(u, c), c: rho})
+        for b in (ball, small):
+            want = glue_reference(f, b, kn.K, space)
+            assert glue_identity_check(f, b, kn, space).ok == want
+            verdicts.append(want)
+    assert verdicts.count(False) >= 50 and verdicts.count(True) >= 100, (
+        verdicts.count(False), verdicts.count(True))
 
 
 def move_setup():

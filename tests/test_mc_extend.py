@@ -54,6 +54,23 @@ def test_incompatible_pair_rejected():
         extend_one_point_mc(f, X, Y, KINKED, linear(1), 2)
 
 
+@pytest.mark.parametrize("alpha, beta, f, text", [
+    (KINKED, linear(1), PartialMap((0, 1), (0, 1)), "moduli fail"),
+    (linear(1), linear(1), PartialMap((), ()), "empty map"),
+])
+def test_both_extensions_reject_an_input_with_one_text(alpha, beta, f, text):
+    X = FiniteMetricSpace.from_rows(
+        ("x0", "x1", "p"), ((0, 1, 1), (1, 0, 2), (1, 2, 0)))
+    Y = FiniteMetricSpace.from_rows(("y0", "y1"), ((0, 1), (1, 0)))
+    with pytest.raises(PreconditionError) as one:
+        extend_one_point_mc(f, X, Y, alpha, beta, 2)
+    with pytest.raises(PreconditionError) as nets:
+        extend_totally_bounded(f, X, Y, alpha, beta, 2, [f.domain],
+                               [F(1, 2)])
+    assert text in str(one.value)
+    assert str(nets.value) == str(one.value)
+
+
 def test_extension_rejects_non_bicontinuous_map():
     X = FiniteMetricSpace.from_rows(("x0", "x1", "p"),
                                     ((0, 1, 1), (1, 0, 2), (1, 2, 0)))

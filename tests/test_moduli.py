@@ -146,9 +146,9 @@ def test_compatibility_grid_agrees_with_dense_scan():
     rng = random.Random(45)
     for _ in range(15):
         alpha, beta = random_modulus(rng), random_modulus(rng)
-        report = compatible(alpha, beta, bound=3)
+        report = compatible(alpha, beta)
         ainv, binv = alpha.inverse(), beta.inverse()
-        box = report.box
+        box = max(3, report.box)
         violated = False
         steps = 24
         for i in range(steps + 1):
@@ -290,13 +290,29 @@ def _deficit(alpha, beta, s, t):
             - pl_value_reference(inv, slope, s + t))
 
 
+def _final_piece_start(alpha):
+    """sigma: where alpha^-1's last affine piece starts, read off alpha's
+    breakpoints as the ordinate of the first breakpoint from which alpha
+    keeps its tail slope (0 when alpha is linear)."""
+    points = alpha.breakpoints
+    k = len(points) - 1
+    while k > 0 and (points[k][1] - points[k - 1][1]) \
+            == alpha.final_slope * (points[k][0] - points[k - 1][0]):
+        k -= 1
+    return points[k][1]
+
+
 def test_a_box_witness_sits_on_the_far_edge_at_the_first_minimum():
     # g(s, t) = alpha^-1(s) + beta(t) - alpha^-1(s + t) is nonincreasing in
     # s and concave in t with g(s, 0) = 0, so on [0, S]^2 every t < S has
     # g(s, t) > g(S, S) once g(S, S) < 0: the worst vertex lies on t = S,
-    # at the first s where g(s, S) reaches g(S, S)
+    # at the first s where g(s, S) reaches g(S, S).  When S is at least
+    # alpha^-1's last knot (every box star_condition and compatible build),
+    # alpha^-1(s + S) runs on the last affine piece, so g(s, S) falls
+    # strictly until s reaches that piece's start sigma and is constant
+    # after: the witness is (sigma, S) in closed form.
     rng = random.Random(49)
-    witnesses = 0
+    witnesses = pinned = 0
     for k in range(120):
         p, q = random_modulus(rng, 6), random_modulus(rng, 6)
         q = q.scale((F(1), F(15, 16), F(1, 2))[k % 3]
@@ -314,7 +330,10 @@ def test_a_box_witness_sits_on_the_far_edge_at_the_first_minimum():
             assert t == box and lhs - rhs == corner < 0
             assert s == next(x for x in s_coords
                              if _deficit(alpha, beta, x, box) == corner)
-    assert witnesses >= 40, witnesses
+            if box >= alpha.breakpoints[-1][1]:
+                pinned += 1
+                assert s == _final_piece_start(alpha)
+    assert witnesses >= 40 and pinned >= 40, (witnesses, pinned)
 
 
 def test_compatible_exactly_when_the_tail_slopes_multiply_to_one():
