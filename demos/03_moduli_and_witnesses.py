@@ -18,9 +18,10 @@ print("kinked(3) =", kinked.value(3), "  inverse(2) =",
 print("2x after 3x is", modulus_compose(linear(2), linear(3)).final_slope,
       "x")
 
-# Compatibility of a pair decides one-point extendability; the check is a
-# finite vertex grid plus a tail-slope comparison, so the verdict covers
-# every s, t >= 0.
+# Compatibility of a pair decides one-point extendability.  On the box up to
+# the last breakpoint the far corner decides the condition, and the vertex
+# grid is walked only to name a witness; a tail-slope comparison covers the
+# rest, so the verdict covers every s, t >= 0.
 print("\n(2x, x/2) compatible:", compatible(linear(2), linear(F(1, 2))).ok)
 report = compatible(kinked, linear(1))
 print("(kinked, id) compatible:", report.ok, " witness:", report.witness[:2])

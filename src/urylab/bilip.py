@@ -10,6 +10,7 @@ an error, not clamped, because it can only mean a violated precondition.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -105,7 +106,12 @@ class SolveRecord:
 
 @dataclass(frozen=True)
 class TraceLine:
-    """One solved distance of a trace: the record a trace file line holds."""
+    """One solved distance of a trace: the record a trace file line holds.
+
+    ``str`` writes the line and ``PATTERN`` reads it: ``step <m>
+    side=<d|r> interval=[<lo>,<hi>] e=<e> s=<s> point=<label>``, fields in
+    that order, with ``[-]p[/q]`` rationals.
+    """
 
     m: int
     side: str          # 'd' | 'r'
@@ -114,6 +120,15 @@ class TraceLine:
     e: Fraction
     s: Fraction
     point: str
+
+    PATTERN = re.compile(
+        r"step (\d+) side=([dr]) interval=\[({0}),({0})\] e=({0}) s=({0})"
+        r" point=(\S+)".format(r"-?\d+(?:/\d+)?"), re.ASCII)
+
+    def __str__(self) -> str:
+        return (f"step {self.m} side={self.side} "
+                f"interval=[{self.lo},{self.hi}] e={self.e} s={self.s} "
+                f"point={self.point}")
 
 
 @dataclass(frozen=True)

@@ -196,14 +196,9 @@ def cmd_group_dist(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    campaign = gen.CAMPAIGNS.get(args.suite)
-    if campaign is None:
-        raise PreconditionError(
-            f"unknown suite {args.suite!r}; choose from "
-            + ", ".join(sorted(gen.CAMPAIGNS)))
     if args.count < 0:
         raise PreconditionError("count must be nonnegative")
-    lines = campaign(args.seed, args.count)
+    lines = gen.CAMPAIGNS[args.suite](args.seed, args.count)
     ok = not any("ok=false" in line for line in lines)
     lines.append("all passed" if ok else "FAILURE")
     _emit("\n".join(lines) + "\n", args.out)
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_group_dist)
 
     p = sub.add_parser("fuzz", help="seeded deterministic property campaign")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, choices=sorted(gen.CAMPAIGNS))
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     add_out(p)

@@ -118,9 +118,6 @@ class GroupDistance:
     def is_zero(self) -> bool:
         return self.stretch == 1 and self.series == 0
 
-    def dominates(self, other: "GroupDistance") -> bool:
-        return self.stretch >= other.stretch and self.series >= other.series
-
     def display(self) -> float:
         """max(log(stretch), series); past float range log p - log q, inf."""
         try:

@@ -141,42 +141,20 @@ def format_trace(trace: ExtensionTrace) -> str:
     for step in trace.steps:
         if step.noop:
             out.append(f"# noop {step.target_label} side={step.tag}")
-        out.extend(f"step {ln.m} side={ln.side} interval=[{ln.lo},{ln.hi}]"
-                   f" e={ln.e} s={ln.s} point={ln.point}"
-                   for ln in step.lines())
+        out.extend(map(str, step.lines()))
     return "\n".join(out) + ("\n" if out else "")
 
 
 def parse_trace(text: str) -> list[TraceLine]:
+    """Match each step line, fields split on whitespace, to TraceLine.PATTERN."""
     lines: list[TraceLine] = []
     for lineno, toks in _lines(text):
-        if toks[0] != "step" or len(toks) != 7:
-            raise ParseError(f"line {lineno}: expected a 7-field 'step' line")
-        m = _natural(toks[1])
+        match = TraceLine.PATTERN.fullmatch(" ".join(toks))
+        m = _natural(match[1]) if match else None
         if m is None:
-            raise ParseError(f"line {lineno}: bad step index {toks[1]!r}")
-        fields = {}
-        for tok in toks[2:]:
-            if "=" not in tok:
-                raise ParseError(f"line {lineno}: bad field {tok!r}")
-            key, val = tok.split("=", 1)
-            fields[key] = val
-        try:
-            interval = fields["interval"]
-            if not (interval.startswith("[") and interval.endswith("]")):
-                raise ParseError(f"line {lineno}: bad interval {interval!r}")
-            ends = interval[1:-1].split(",")
-            if len(ends) != 2:
-                raise ParseError(f"line {lineno}: bad interval {interval!r}")
-            lo_s, hi_s = ends
-            lines.append(TraceLine(
-                m=m,
-                side=fields["side"],
-                lo=parse_rational(lo_s),
-                hi=parse_rational(hi_s),
-                e=parse_rational(fields["e"]),
-                s=parse_rational(fields["s"]),
-                point=fields["point"]))
-        except KeyError as exc:
-            raise ParseError(f"line {lineno}: missing field {exc}") from None
+            raise ParseError(
+                f"line {lineno}: expected 'step <m> side=<d|r> "
+                f"interval=[<lo>,<hi>] e=<e> s=<s> point=<label>'")
+        lo, hi, e, s = map(parse_rational, match.group(3, 4, 5, 6))
+        lines.append(TraceLine(m, match[2], lo, hi, e, s, match[7]))
     return lines

@@ -78,6 +78,20 @@ def _certify_input(f: PartialMap, dom_space: FiniteMetricSpace,
             f"another")
 
 
+def _prescribe(f: PartialMap, dom_space: FiniteMetricSpace,
+               rng_space: FiniteMetricSpace, beta: PLFunction,
+               p: int) -> dict[int, Fraction]:
+    """d(q, y) = min over z of d(f(z), y) + beta(d(z, p)), for y in f's images.
+
+    Prescribed on the images only; realize_point completes the rest by the
+    same shortest-path rule, which by the triangle inequality gives the
+    minimum over z at every other range point too.
+    """
+    reach = [(fz, beta.value(dom_space.d(z, p))) for z, fz in f.pairs()]
+    return {y: min(rng_space.d(fz, y) + b for fz, b in reach)
+            for y in f.images}
+
+
 @dataclass(frozen=True)
 class McExtension:
     map: PartialMap
@@ -98,13 +112,8 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
     _certify_input(f, dom_space, rng_space, alpha, beta, p,
                    max(rat(bound), dom_space.diameter()))
 
-    # Prescribed on the images only; realize_point completes the rest by the
-    # same shortest-path rule, which by the triangle inequality gives the
-    # minimum over z at every other range point too.
-    reach = [(fz, beta.value(dom_space.d(z, p))) for z, fz in f.pairs()]
-    values = {y: min(rng_space.d(fz, y) + b for fz, b in reach)
-              for y in f.images}
-    grown, q = realize_point(rng_space, values)
+    grown, q = realize_point(rng_space,
+                             _prescribe(f, dom_space, rng_space, beta, p))
     new_map = f.extended(p, q)
     require_bicontinuous(new_map, dom_space, grown, alpha, beta)
     return McExtension(new_map, grown, q)
@@ -233,22 +242,19 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
     levels: list[NetLevel] = []
     q_prev: Optional[int] = None
     for n, net in enumerate(nets):
-        targets = [image[z] for z in net]
-        values: dict[int, Fraction] = {
-            y: min(rng_space.d(image[z], y) + beta.value(dom_space.d(z, p))
-                   for z in net)
-            for y in targets}
+        net_map = PartialMap(net, tuple(image[z] for z in net))
+        values = _prescribe(net_map, dom_space, rng_space, beta, p)
         gap = gap_bound = None
         if q_prev is not None:
             gap = max(abs(values[y] - rng_space.d(y, q_prev))
-                      for y in targets)
+                      for y in net_map.images)
             gap_bound = Fraction(2) ** (2 - n)
             assert gap < gap_bound
             values[q_prev] = gap
         rng_space, q = realize_point(rng_space, values)
         # level map bicontinuous on net union {p}:
-        level_map = PartialMap(tuple(net) + (p,), tuple(targets) + (q,))
-        require_bicontinuous(level_map, dom_space, rng_space, alpha, beta)
+        require_bicontinuous(net_map.extended(p, q), dom_space, rng_space,
+                             alpha, beta)
         levels.append(NetLevel(n, net, q, gap, gap_bound))
         q_prev = q
     return NetRefinement(tuple(levels), rng_space, q_prev)

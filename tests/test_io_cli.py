@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urylab import bilip, cli, io
+from urylab.amalgam import POLICIES
 from urylab.bilip import Ball, extend_dense, kn_admissible
 from urylab.cli import main, verify_trace_lines
 from urylab.core import PartialMap
@@ -91,6 +92,15 @@ def test_parse_rational_rejects_digits_int_cannot_convert():
         io.parse_rational("1/" + "9" * (limit + 1))
 
 
+def test_parse_trace_rejects_a_step_index_int_cannot_convert():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() digit limit is disabled")
+    line = f"step {'9' * (limit + 1)} side=d interval=[0,1] e=1 s=1 point=q"
+    with pytest.raises(ParseError, match=r"^line 1: expected 'step <m> "):
+        io.parse_trace(line)
+
+
 def test_parse_rational_quotes_at_most_40_characters():
     with pytest.raises(ParseError, match=r"^bad rational '1e3': expected"):
         io.parse_rational("1e3")
@@ -149,6 +159,20 @@ def test_verify_accepts_every_emitted_trace():
         lines = io.parse_trace(io.format_trace(trace))
         ok, msg = verify_trace_lines(space, f, ball, kn, targets, lines)
         assert ok, msg
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_trace_text_holds_exactly_the_step_lines(policy):
+    rng = random.Random(31)
+    for _ in range(3):
+        space, f, ball, kn = random_compliant_instance(rng, grow=2)
+        space, x = random_point_in_ball(rng, space, ball)
+        # the seed point and a repeated target add noop steps
+        _, _, trace = extend_dense(f, ball, kn, [x, f.domain[0], x], space,
+                                   policy=policy)
+        assert any(step.noop for step in trace.steps)
+        assert io.parse_trace(io.format_trace(trace)) == [
+            ln for step in trace.steps for ln in step.lines()]
 
 
 def test_verify_rejects_out_of_interval_perturbation():
@@ -434,6 +458,15 @@ def assert_parse_error(rc, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_fuzz_unknown_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--suite", "nope"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert err.startswith("usage: urylab fuzz")
+    assert "invalid choice: 'nope' (choose from 'amalgam', 'bilip'," in err
+
+
 def test_cli_non_ascii_point_count_is_parse_error(tmp_path, capsys):
     space = tmp_path / "s.ums"
     space.write_text("points ²\nlabels a b\nrow 0 1\nrow 1 0\n")
@@ -443,6 +476,10 @@ def test_cli_non_ascii_point_count_is_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "step x side=d interval=[1/2,2] e=5/4 s=35/16 point=q1",
     "step 1 side=d interval=[1/2] e=5/4 s=35/16 point=q1",
+    "step 1 side=d interval=[1/2,2] s=35/16 e=5/4 point=q1",
+    "step 1 side=x interval=[1/2,2] e=5/4 s=35/16 point=q1",
+    "step 1 side=d interval=[1/2,2] e=5/4 point=q1",
+    "step \u0661 side=d interval=[1/2,2] e=5/4 s=35/16 point=q1",
 ])
 def test_cli_bad_trace_line_is_parse_error(tmp_path, capsys, line):
     trace = tmp_path / "t.trace"
@@ -466,6 +503,30 @@ def test_cli_exponent_radius_is_parse_error(tmp_path, capsys):
         "extend-bilip", space, fmap, "--center", "x1", "--radius", "1e3",
         "--K", "2", "--N", "4", "--target", "x")])
     assert_parse_error(rc, capsys)
+
+
+def test_cli_trace_mismatch_reads_in_the_trace_grammar(tmp_path, capsys):
+    text = (GOLDEN / "extend-bilip-midpoint.txt").read_text()
+    trace = tmp_path / "t.trace"
+
+    def verify(text):
+        trace.write_text(text)
+        rc = main([str(a) for a in ("verify-trace", trace,
+                                    DATA / "worked.ums", DATA / "worked.map")
+                   + BILIP])
+        return rc, capsys.readouterr().out
+
+    bad = text.replace("point=q1", "point=q9")
+    rc, out = verify(bad)
+    assert (rc, out) == (1, (
+        "FAIL: line 1: recomputed step 1 side=d interval=[1/2,2] e=5/4 "
+        "s=35/16 point=q1 != recorded step 1 side=d interval=[1/2,2] "
+        "e=5/4 s=35/16 point=q9\n"))
+    # the recomputed half, pasted over the recorded line, verifies
+    recomputed = out.partition(" recomputed ")[2].partition(" != ")[0]
+    recorded = out.partition(" != recorded ")[2].rstrip("\n")
+    assert verify(bad.replace(recorded, recomputed)) == (
+        0, "ok: verified 3 steps\n")
 
 
 @pytest.mark.parametrize("radius", ["0", "-1"])
