@@ -37,6 +37,14 @@ def _natural(token: str) -> Optional[int]:
         return None
 
 
+def _rationals(lineno: int, tokens) -> list[Fraction]:
+    """parse_rational on each token; a bad one's error names its line."""
+    try:
+        return [parse_rational(t) for t in tokens]
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -59,7 +67,7 @@ def parse_space(text: str) -> FiniteMetricSpace:
         elif key == "labels":
             labels = tuple(toks[1:])
         elif key == "row":
-            rows.append([parse_rational(t) for t in toks[1:]])
+            rows.append(_rationals(lineno, toks[1:]))
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
     if n is None or labels is None:
@@ -110,11 +118,12 @@ def parse_modulus(text: str) -> PLFunction:
         elif toks[0] == "bp":
             if len(toks) != 3:
                 raise ParseError(f"line {lineno}: expected 'bp <t> <v>'")
-            points.append((parse_rational(toks[1]), parse_rational(toks[2])))
+            t, v = _rationals(lineno, toks[1:])
+            points.append((t, v))
         elif toks[0] == "tail":
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: expected 'tail <slope>'")
-            tail = parse_rational(toks[1])
+            tail, = _rationals(lineno, toks[1:])
         else:
             raise ParseError(f"line {lineno}: unknown directive {toks[0]!r}")
     if not saw_header:
@@ -155,6 +164,6 @@ def parse_trace(text: str) -> list[TraceLine]:
             raise ParseError(
                 f"line {lineno}: expected 'step <m> side=<d|r> "
                 f"interval=[<lo>,<hi>] e=<e> s=<s> point=<label>'")
-        lo, hi, e, s = map(parse_rational, match.group(3, 4, 5, 6))
+        lo, hi, e, s = _rationals(lineno, match.group(3, 4, 5, 6))
         lines.append(TraceLine(m, match[2], lo, hi, e, s, match[7]))
     return lines

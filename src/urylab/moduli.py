@@ -55,6 +55,27 @@ class PLFunction:
         out.append(self.final_slope)
         return tuple(out)
 
+    @cached_property
+    def _modulus_report(self) -> tuple[str, ...]:
+        """The report of :func:`modulus_validate`; a frozen object keeps it."""
+        out = []
+        t0, v0 = self.breakpoints[0]
+        if (t0, v0) != (0, 0):
+            out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
+        vs = [v for _, v in self.breakpoints]
+        if any(b <= a for a, b in zip(vs, vs[1:])):
+            out.append("values are not strictly increasing")
+        slopes = self._slopes
+        for k, s in enumerate(slopes):
+            if s <= 0:
+                out.append(f"nonpositive slope {s} on piece {k}")
+        for k, (a, b) in enumerate(zip(slopes, slopes[1:])):
+            if b > a:
+                out.append(
+                    f"concavity violated between pieces {k} and {k + 1}: "
+                    f"slope rises {a} -> {b}")
+        return tuple(out)
+
     def _on_segment(self, k: int, t: Fraction) -> Fraction:
         """The line of segment k at t; segment 0 also covers t below its knot."""
         t0, v0 = self.breakpoints[k]
@@ -144,25 +165,10 @@ def modulus_validate(f: PLFunction) -> tuple[str, ...]:
 
     A modulus starts at (0, 0), strictly increases with positive slopes, and
     is concave: slopes nonincreasing, tail slope no larger than the last
-    interior slope.  Concavity with f(0) = 0 yields subadditivity.
+    interior slope.  Concavity with f(0) = 0 yields subadditivity.  The
+    report is computed once per object and cached on it.
     """
-    out = []
-    t0, v0 = f.breakpoints[0]
-    if (t0, v0) != (0, 0):
-        out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
-    vs = [v for _, v in f.breakpoints]
-    if any(b <= a for a, b in zip(vs, vs[1:])):
-        out.append("values are not strictly increasing")
-    slopes = f.slopes()
-    for k, s in enumerate(slopes):
-        if s <= 0:
-            out.append(f"nonpositive slope {s} on piece {k}")
-    for k, (a, b) in enumerate(zip(slopes, slopes[1:])):
-        if b > a:
-            out.append(
-                f"concavity violated between pieces {k} and {k + 1}: "
-                f"slope rises {a} -> {b}")
-    return tuple(out)
+    return f._modulus_report
 
 
 def is_modulus(f: PLFunction) -> bool:

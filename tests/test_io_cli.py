@@ -494,6 +494,40 @@ def test_cli_bad_trace_line_is_parse_error(tmp_path, capsys, line):
     assert_parse_error(rc, capsys)
 
 
+def assert_bad_rational_on_line(rc, capsys, lineno, token):
+    assert (rc, capsys.readouterr().err) == (3, (
+        f"parse error: line {lineno}: bad rational '{token}': "
+        f"expected [-]p[/q]\n"))
+
+
+def test_cli_bad_rational_in_a_space_names_its_line(tmp_path, capsys):
+    space = tmp_path / "s.ums"
+    space.write_text(WORKED_UMS.replace("row 0 1", "row 0 1/0"))
+    assert_bad_rational_on_line(main(["validate", str(space)]), capsys, 4,
+                                "1/0")
+
+
+def test_cli_bad_rational_in_a_modulus_names_its_line(tmp_path, capsys):
+    beta = tmp_path / "b.mc"
+    beta.write_text("mc\nbp 0 0\nbp 1 1/0\ntail 1\n")
+    rc = main([str(a) for a in (
+        "counterexample", "--alpha", DATA / "kinked.mc", "--beta", beta,
+        "--s", "1", "--t", "1")])
+    assert_bad_rational_on_line(rc, capsys, 3, "1/0")
+
+
+def test_cli_bad_rational_in_a_trace_names_its_line(tmp_path, capsys):
+    steps = [line for line in
+             (GOLDEN / "extend-bilip-midpoint.txt").read_text().splitlines()
+             if not line.startswith("#")]
+    steps[1] = steps[1].replace(" e=5/4 ", " e=5/0 ")
+    trace = tmp_path / "t.trace"
+    trace.write_text("\n".join(steps) + "\n")
+    rc = main([str(a) for a in ("verify-trace", trace, DATA / "worked.ums",
+                                DATA / "worked.map") + BILIP])
+    assert_bad_rational_on_line(rc, capsys, 2, "5/0")
+
+
 def test_cli_exponent_radius_is_parse_error(tmp_path, capsys):
     space = tmp_path / "s.ums"
     space.write_text(WORKED_UMS)

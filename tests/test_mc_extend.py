@@ -11,10 +11,12 @@ from urylab import (FiniteMetricSpace, MCSemigroup, PLFunction, PartialMap,
                     extend_totally_bounded, katetov_extend, linear,
                     necessity_counterexample, separation_witness,
                     validate_space)
+from urylab import mc_extend
+from urylab.amalgam import realize_point
+from urylab.core import Ball
 from urylab.gen import line_space, random_bicontinuous_instance, \
     random_point_in_ball
-from urylab.core import Ball
-from urylab.mc_extend import bicontinuity_violations
+from urylab.mc_extend import bicontinuity_violations, require_bicontinuous
 
 KINKED = PLFunction.from_points([(0, 0), (1, 1)], F(1, 2))
 
@@ -78,6 +80,69 @@ def test_extension_rejects_non_bicontinuous_map():
     f = PartialMap((0, 1), (0, 1))
     with pytest.raises(PreconditionError):
         extend_one_point_mc(f, X, Y, linear(2), linear(2), 2)
+
+
+# alpha_inv(2) = 1 and beta(2) = 3 bound an image distance at domain distance 2
+STEEP = PLFunction.from_points([(0, 0), (1, 2)], 1)
+EDGES = pytest.mark.parametrize("e, msg", [
+    (F(3), None),
+    (F(3001, 1000), "image distance 3001/1000 > beta(2) = 3"),
+    (F(1), None),
+    (F(999, 1000), "image distance 999/1000 < alpha_inv(2) = 1"),
+], ids=["beta_exact", "beta_over", "alpha_inv_exact", "alpha_inv_under"])
+
+
+@EDGES
+def test_bicontinuity_bounds_are_inclusive(e, msg):
+    X = FiniteMetricSpace.from_rows(("x0", "x1"), ((0, 2), (2, 0)))
+    Y = FiniteMetricSpace.from_rows(("y0", "y1"), ((0, e), (e, 0)))
+    f = PartialMap((0, 1), (0, 1))
+    got = bicontinuity_violations(f, X, Y, linear(2), STEEP)
+    assert got == ([] if msg is None else [(0, 1, msg)])
+
+
+# both extensions, the second with the whole domain as its one net
+BOTH_EXTENSIONS = pytest.mark.parametrize("extend", [
+    extend_one_point_mc,
+    lambda f, X, Y, alpha, beta, p: extend_totally_bounded(
+        f, X, Y, alpha, beta, p, [f.domain], [F(1, 4)]),
+], ids=["one_point", "nets"])
+
+
+@BOTH_EXTENSIONS
+@EDGES
+def test_new_pair_bounds_are_inclusive(monkeypatch, extend, e, msg):
+    X = FiniteMetricSpace.from_rows(("x0", "p"), ((0, 2), (2, 0)))
+    Y = FiniteMetricSpace.from_rows(("y0",), ((0,),))
+    f = PartialMap((0,), (0,))
+    monkeypatch.setattr(mc_extend, "_prescribe", lambda *a: {0: e})
+    if msg is None:
+        out = extend(f, X, Y, linear(2), STEEP, 1)
+        assert out.rng_space.d(out.q, 0) == e
+        return
+    with pytest.raises(PreconditionError) as exc:
+        extend(f, X, Y, linear(2), STEEP, 1)
+    assert str(exc.value) == (
+        f"map is not (beta, alpha)-bicontinuous on pair ('x0', 'p'): {msg}")
+
+
+@BOTH_EXTENSIONS
+def test_new_pair_check_raises_the_full_scan_text(monkeypatch, extend):
+    # f doubles distances on a line; a q at -9 on the range line is within
+    # the bounds against x0 but breaks beta against x1 and x2
+    X = line_space([0, 1, 3, 6], ["x0", "x1", "x2", "p"])
+    Y = line_space([0, 2, 6], ["y0", "y1", "y2"])
+    f = PartialMap((0, 1, 2), (0, 1, 2))
+    alpha = beta = linear(2)
+    values = {0: F(9), 1: F(11), 2: F(15)}
+    grown, q = realize_point(Y, values)
+    with pytest.raises(PreconditionError) as full:
+        require_bicontinuous(f.extended(3, q), X, grown, alpha, beta)
+    monkeypatch.setattr(mc_extend, "_prescribe", lambda *a: dict(values))
+    with pytest.raises(PreconditionError) as new:
+        extend(f, X, Y, alpha, beta, 3)
+    assert str(new.value) == str(full.value)
+    assert "('x1', 'p'): image distance 11 > beta(5) = 10" in str(new.value)
 
 
 def test_random_instances_extend_and_verify():

@@ -13,6 +13,7 @@ from urylab import (MCSemigroup, PLFunction, PreconditionError, compatible,
                     is_modulus, linear, modulus_compose, modulus_inverse,
                     modulus_precedes, modulus_validate, star_condition)
 from urylab.gen import random_compatible_pair, random_modulus
+from urylab.moduli import require_modulus
 
 KINKED = PLFunction.from_points([(0, 0), (1, 1)], F(1, 2))
 
@@ -357,6 +358,7 @@ def test_cached_tables_leave_equality_hash_and_repr_alone():
     m.value(F(1, 3))
     m.inverse().value(F(5, 2))
     m.slopes()
+    assert modulus_validate(m) == ()
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     inv = PLFunction(fresh.inverse().breakpoints, fresh.inverse().final_slope)
     assert m.inverse() == inv and repr(m.inverse()) == repr(inv)
@@ -364,3 +366,20 @@ def test_cached_tables_leave_equality_hash_and_repr_alone():
         m.final_slope = F(1)
     with pytest.raises(FrozenInstanceError):
         m.breakpoints = fresh.breakpoints
+
+
+def test_an_invalid_modulus_reports_the_same_tuple_twice():
+    bad = PLFunction.from_points([(1, 1), (2, 2), (3, 2)], F(3, 2))
+    fresh = PLFunction(bad.breakpoints, bad.final_slope)
+    first = modulus_validate(bad)
+    assert first == (
+        "first breakpoint is (1, 1), not (0, 0)",
+        "values are not strictly increasing",
+        "nonpositive slope 0 on piece 1",
+        "concavity violated between pieces 1 and 2: slope rises 0 -> 3/2")
+    assert modulus_validate(bad) is first
+    assert bad == fresh and hash(bad) == hash(fresh)
+    assert repr(bad) == repr(fresh)
+    with pytest.raises(PreconditionError, match="^beta is not a valid "
+                       "modulus: first breakpoint is"):
+        require_modulus(bad, "beta")
