@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .core import FiniteMetricSpace, Rational, rat
-from .errors import PreconditionError
+from .errors import PreconditionError, as_text
 
 Policy = str  # a key of _RULES: 'midpoint' | 'minimal' | 'maximal'
 Chooser = Callable[[Fraction, Fraction], Fraction]  # picks a value in [lo, hi]
@@ -105,13 +105,16 @@ def katetov_violations(space: FiniteMetricSpace,
     keys = sorted(values)
     for idx, a in enumerate(keys):
         if values[a] < 0:
-            out.append((a, a, f"negative value {values[a]}"))
+            with as_text():
+                out.append((a, a, f"negative value {values[a]}"))
         for b in keys[idx + 1:]:
             ga, gb, dab = values[a], values[b], space.d(a, b)
             if abs(ga - gb) > dab:
-                out.append((a, b, f"|{ga} - {gb}| > d = {dab}"))
+                with as_text():
+                    out.append((a, b, f"|{ga} - {gb}| > d = {dab}"))
             if dab > ga + gb:
-                out.append((a, b, f"d = {dab} > {ga} + {gb}"))
+                with as_text():
+                    out.append((a, b, f"d = {dab} > {ga} + {gb}"))
     return out
 
 

@@ -20,7 +20,8 @@ from typing import Callable, Iterator, Optional, Sequence
 from .amalgam import Chooser, Policy, _katetov_fill, chooser, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
                    Rational, goodness_check, lip_details, map_in_ball, rat)
-from .errors import DegenerateInputError, InfeasibleError, PreconditionError
+from .errors import (DegenerateInputError, InfeasibleError, PreconditionError,
+                     as_text)
 
 
 @dataclass(frozen=True)
@@ -243,13 +244,15 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
         lo_family, lo, _ = max(bounds, key=itemgetter(1))
         hi_family, _, hi = min(bounds, key=itemgetter(2))
         if lo > hi:
-            raise InfeasibleError(
-                f"empty interval for e_{m + 1}: {lo_family} gives {lo} > "
-                f"{hi} from {hi_family}")
+            with as_text():
+                raise InfeasibleError(
+                    f"empty interval for e_{m + 1}: {lo_family} gives {lo} "
+                    f"> {hi} from {hi_family}")
         chosen = choose(lo, hi)
         if not lo <= chosen <= hi:
-            raise InfeasibleError(
-                f"chosen e_{m + 1} = {chosen} outside [{lo}, {hi}]")
+            with as_text():
+                raise InfeasibleError(
+                    f"chosen e_{m + 1} = {chosen} outside [{lo}, {hi}]")
         records.append(SolveRecord(m + 1, lo, hi, lo_family, hi_family,
                                    chosen, partial(_bounds, ctx, m)))
         e.append(chosen)
@@ -270,18 +273,21 @@ def _certify_seed(f: PartialMap, ball: Ball, kn: KNParams,
         raise PreconditionError("map must fix the ball center")
     cert = is_compliant(f, ball, kn, space)
     good, name = cert.goodness, space.labels
-    if not cert.lip_ok:
-        a, b = cert.lip_witness
-        why = (f"stretch bound fails at ({name[a]!r}, {name[b]!r}): "
-               f"ratio {cert.lip_value} > K = {kn.K}")
-    elif good.forward_slack < 0:
-        why = (f"goodness bound fails at domain point "
-               f"{name[good.forward_witness]!r}: slack {good.forward_slack}")
-    elif not good.ok:
-        why = (f"goodness bound fails at range point "
-               f"{name[good.backward_witness]!r}: slack {good.backward_slack}")
-    else:
-        return
+    with as_text():
+        if not cert.lip_ok:
+            a, b = cert.lip_witness
+            why = (f"stretch bound fails at ({name[a]!r}, {name[b]!r}): "
+                   f"ratio {cert.lip_value} > K = {kn.K}")
+        elif good.forward_slack < 0:
+            why = (f"goodness bound fails at domain point "
+                   f"{name[good.forward_witness]!r}: "
+                   f"slack {good.forward_slack}")
+        elif not good.ok:
+            why = (f"goodness bound fails at range point "
+                   f"{name[good.backward_witness]!r}: "
+                   f"slack {good.backward_slack}")
+        else:
+            return
     raise PreconditionError(f"map is not (K, N)-compliant on input: {why}")
 
 
@@ -330,19 +336,25 @@ def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                 f"image points {labels[ym]!r}, "
                 f"{space.fresh_label()!r} at distance 0")
         if em > K * dm or dm > K * em:
-            raise PreconditionError(
-                f"new pair breaks the stretch bound against {labels[xm]!r}: "
-                f"d = {dm}, e = {em}, K = {K}")
+            with as_text():
+                raise PreconditionError(
+                    f"new pair breaks the stretch bound against "
+                    f"{labels[xm]!r}: d = {dm}, e = {em}, K = {K}")
         # When x already lies in the range this forces e_m = s at y_m = x.
         if abs(s - em) > sm or sm > s + em:
-            raise PreconditionError(
-                f"not a one-point prescription on ({labels[ym]!r}, "
-                f"{labels[x]!r}): e = {em}, s = {s}, d = {sm}")
+            with as_text():
+                raise PreconditionError(
+                    f"not a one-point prescription on ({labels[ym]!r}, "
+                    f"{labels[x]!r}): e = {em}, s = {s}, d = {sm}")
     if N * s > r - d1 or N * s > r - e[0]:
-        raise PreconditionError(f"new pair at distance {s} is not {N}-good")
+        with as_text():
+            raise PreconditionError(
+                f"new pair at distance {s} is not {N}-good")
     if not e[0] < r:
-        raise PreconditionError(
-            f"new point at distance {e[0]} from the center leaves the ball")
+        with as_text():
+            raise PreconditionError(
+                f"new point at distance {e[0]} from the center leaves the "
+                f"ball")
 
 
 def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
@@ -435,8 +447,9 @@ def verify_trace_lines(space: FiniteMetricSpace, fmap: PartialMap, ball: Ball,
             for got, ln in zip(step.lines(), pending):
                 done += 1
                 if got != ln:
-                    return False, (f"line {done}: recomputed "
-                                   f"{got} != recorded {ln}")
+                    with as_text():
+                        return False, (f"line {done}: recomputed "
+                                       f"{got} != recorded {ln}")
     except (InfeasibleError, PreconditionError) as exc:
         return False, str(exc)
     if done != len(lines):

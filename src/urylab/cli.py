@@ -21,7 +21,7 @@ from .bilip import (Ball, extend_dense, is_compliant, kn_admissible,
                     verify_trace_lines)
 from .core import FiniteMetricSpace, PartialMap, validate_space
 from .errors import (InfeasibleError, ParseError, PreconditionError,
-                     StructuralError)
+                     StructuralError, UnreportableError, as_text)
 from .groupmetric import RADIUS_BOUND, AutoMap, dist_hat, dist_n
 from .mc_extend import (extend_one_point_mc, necessity_counterexample,
                         separation_witness)
@@ -82,8 +82,9 @@ def cmd_amalgamate(args) -> int:
     x1 = _load_space(args.space1)
     merged = amalgamate(x0, x1, policy=args.policy)
     shared = sum(1 for lab in x0.labels if lab in x1.labels)
-    report = (f"# amalgam over {shared} shared points, policy={args.policy}\n"
-              + io.format_space(merged))
+    with as_text():
+        report = (f"# amalgam over {shared} shared points, "
+                  f"policy={args.policy}\n" + io.format_space(merged))
     _emit(report, args.out)
     return 0
 
@@ -93,11 +94,12 @@ def cmd_extend_bilip(args) -> int:
     fmap, space, trace = extend_dense(fmap, ball, kn, targets, space,
                                       policy=args.policy)
     cert = is_compliant(fmap, ball, kn, space)
-    report = (f"# extend-bilip K={kn.K} N={kn.N} center={args.center} "
-              f"r={ball.radius} policy={args.policy}\n"
-              + io.format_trace(trace)
-              + f"# final map: {len(fmap)} pairs, lip={cert.lip_value}, "
-                f"compliant={str(cert.ok).lower()}\n")
+    with as_text():
+        report = (f"# extend-bilip K={kn.K} N={kn.N} center={args.center} "
+                  f"r={ball.radius} policy={args.policy}\n"
+                  + io.format_trace(trace)
+                  + f"# final map: {len(fmap)} pairs, lip={cert.lip_value}, "
+                    f"compliant={str(cert.ok).lower()}\n")
     _emit(report, args.out)
     return 0 if cert.ok else 1
 
@@ -122,9 +124,10 @@ def cmd_extend_mc(args) -> int:
                               bound=bound)
     lines = [f"# extend-mc point={args.point}",
              f"realized {ext.rng_space.labels[ext.q]}"]
-    for y in range(ext.rng_space.n - 1):
-        lines.append(f"dist {ext.rng_space.labels[y]} "
-                     f"{ext.rng_space.d(ext.q, y)}")
+    with as_text():
+        for y in range(ext.rng_space.n - 1):
+            lines.append(f"dist {ext.rng_space.labels[y]} "
+                         f"{ext.rng_space.d(ext.q, y)}")
     pairs = len(ext.map) * (len(ext.map) - 1) // 2
     lines.append(f"bicontinuous exact pairs={pairs}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -138,12 +141,13 @@ def cmd_counterexample(args) -> int:
                                       io.parse_rational(args.s),
                                       io.parse_rational(args.t))
     cert = bundle.certificate
-    report = ("# obstruction instance\n"
-              + io.format_space(bundle.dom_space)
-              + io.format_space(bundle.rng_space)
-              + f"certificate: alpha_inv(s+t)={cert.lhs} > "
-                f"beta(t)+alpha_inv(s)={cert.rhs} -> no image point can "
-                f"satisfy both bounds\n")
+    with as_text():
+        report = ("# obstruction instance\n"
+                  + io.format_space(bundle.dom_space)
+                  + io.format_space(bundle.rng_space)
+                  + f"certificate: alpha_inv(s+t)={cert.lhs} > "
+                    f"beta(t)+alpha_inv(s)={cert.rhs} -> no image point can "
+                    f"satisfy both bounds\n")
     _emit(report, args.out)
     return 0
 
@@ -154,10 +158,11 @@ def cmd_witness(args) -> int:
     witness = separation_witness(gamma, MCSemigroup(gens), args.depth)
     cert = witness.certificate
     lines = [f"# separation witness depth={args.depth}"]
-    for c in cert.scale_checks:
-        lines.append(f"gen={c.generator} t={c.t} gamma={c.gamma_value} "
-                     f"delta={c.generator_value} "
-                     f"exceeds={str(c.ok).lower()}")
+    with as_text():
+        for c in cert.scale_checks:
+            lines.append(f"gen={c.generator} t={c.t} gamma={c.gamma_value} "
+                         f"delta={c.generator_value} "
+                         f"exceeds={str(c.ok).lower()}")
     lines.append(f"bicontinuity(2*gamma) ok={str(cert.bicontinuity_ok).lower()} "
                  f"pairs={cert.pairs_checked}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -185,12 +190,14 @@ def cmd_group_dist(args) -> int:
     f = _as_automap(io.parse_map(_read(args.f), space), space, base)
     g = _as_automap(io.parse_map(_read(args.g), space), space, base)
     hat = dist_hat(f, g)
-    lines = [f"lip {hat.stretch}",
-             f"dS {hat.series}",
-             f"zero {str(hat.is_zero()).lower()}",
-             f"display {hat.display():.6f}"]
-    for n in range(1, args.depth + 1):
-        lines.append(f"d{n} {dist_n(f, g, n)}")
+    shown = hat.display()
+    balls = [dist_n(f, g, n) for n in range(1, args.depth + 1)]
+    with as_text():
+        lines = [f"lip {hat.stretch}",
+                 f"dS {hat.series}",
+                 f"zero {str(hat.is_zero()).lower()}",
+                 f"display {shown:.6f}"]
+        lines += [f"d{n} {d}" for n, d in enumerate(balls, start=1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -312,11 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, StructuralError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 3
-    except (PreconditionError, InfeasibleError, ValueError) as exc:
-        # A result past the int -> str digit limit cannot be reported.
-        if (isinstance(exc, ValueError)
-                and "integer string conversion" not in str(exc)):
-            raise
+    except (PreconditionError, InfeasibleError, UnreportableError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

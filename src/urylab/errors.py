@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class UrylabError(Exception):
     """Base class for all library errors."""
@@ -21,6 +24,24 @@ class PreconditionError(UrylabError):
 
 class DegenerateInputError(PreconditionError):
     """Two points at distance zero where positive distance is required."""
+
+
+class UnreportableError(UrylabError):
+    """A number has more digits than Python converts from int to str."""
+
+
+@contextmanager
+def as_text() -> Iterator[None]:
+    """Turn exact results into a report or a failure text inside this block.
+
+    Exact arithmetic raises no ValueError, and formatting a rational raises
+    one only for a number past Python's int -> str digit limit; that becomes
+    UnreportableError, with the conversion's own message.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise UnreportableError(str(exc)) from None
 
 
 class InfeasibleError(UrylabError):

@@ -24,23 +24,24 @@ from typing import Iterator, Optional, Sequence
 
 from .amalgam import realize_point
 from .core import FiniteMetricSpace, PartialMap, Rational, rat
-from .errors import PreconditionError
+from .errors import PreconditionError, as_text
 from .moduli import MCSemigroup, PLFunction, require_modulus, star_condition
 
 
-def _pair_violations(dd: Fraction, ee: Fraction, ainv: PLFunction,
-                     beta: PLFunction) -> Iterator[str]:
-    """Each bound of alpha_inv(dd) <= ee <= beta(dd) that ee breaks.
+def _pair_violations(dd: Fraction, ee: Fraction, top: Fraction,
+                     ainv: PLFunction) -> Iterator[str]:
+    """Each bound of alpha_inv(dd) <= ee <= top = beta(dd) that ee breaks.
 
     The beta bound comes first.  This is the one test of a pair, for the
     full scan and for the new pairs alike.
     """
-    top = beta.value(dd)
     if ee > top:
-        yield f"image distance {ee} > beta({dd}) = {top}"
+        with as_text():
+            yield f"image distance {ee} > beta({dd}) = {top}"
     low = ainv.value(dd)
     if ee < low:
-        yield f"image distance {ee} < alpha_inv({dd}) = {low}"
+        with as_text():
+            yield f"image distance {ee} < alpha_inv({dd}) = {low}"
 
 
 def _not_bicontinuous(dom_space: FiniteMetricSpace, a: int, b: int,
@@ -55,10 +56,12 @@ def bicontinuity_violations(f: PartialMap, dom_space: FiniteMetricSpace,
                             beta: PLFunction) -> list[tuple[int, int, str]]:
     """All pairs breaking alpha_inv(d) <= d(f., f.) <= beta(d), exactly."""
     ainv = alpha.inverse()
-    return [(a, b, msg)
-            for (a, fa), (b, fb) in combinations(f.pairs(), 2)
-            for msg in _pair_violations(dom_space.d(a, b),
-                                        rng_space.d(fa, fb), ainv, beta)]
+    out = []
+    for (a, fa), (b, fb) in combinations(f.pairs(), 2):
+        dd = dom_space.d(a, b)
+        out += [(a, b, msg) for msg in _pair_violations(
+            dd, rng_space.d(fa, fb), beta.value(dd), ainv)]
+    return out
 
 
 def require_bicontinuous(f: PartialMap, dom_space: FiniteMetricSpace,
@@ -69,20 +72,28 @@ def require_bicontinuous(f: PartialMap, dom_space: FiniteMetricSpace,
         raise _not_bicontinuous(dom_space, *bad[0])
 
 
+def _caps(f: PartialMap, dom_space: FiniteMetricSpace, beta: PLFunction,
+          p: int) -> list[Fraction]:
+    """beta(d(z, p)) for each z of f, in domain order: the upper bound on
+    d(f(z), q), read by both the prescription and the new-pair check."""
+    return [beta.value(dom_space.d(z, p)) for z in f.domain]
+
+
 def _require_new_pairs(f: PartialMap, dom_space: FiniteMetricSpace,
                        rng_space: FiniteMetricSpace, alpha: PLFunction,
-                       beta: PLFunction, p: int, q: int) -> None:
+                       caps: Sequence[Fraction], p: int, q: int) -> None:
     """Raise as require_bicontinuous would on f extended by p -> q.
 
     f must be certified bicontinuous already, on distances that rng_space
-    keeps.  Only the new pairs (z, p) can then fail, and the full scan of
-    the extended map meets them in the domain order of z, after every old
-    pair, so the first failing one gives the full scan's text.
+    keeps, and caps must be _caps(f, dom_space, beta, p).  Only the new
+    pairs (z, p) can then fail, and the full scan of the extended map meets
+    them in the domain order of z, after every old pair, so the first
+    failing one gives the full scan's text.
     """
     ainv = alpha.inverse()
-    for z, fz in f.pairs():
+    for (z, fz), top in zip(f.pairs(), caps):
         for msg in _pair_violations(dom_space.d(z, p), rng_space.d(fz, q),
-                                    ainv, beta):
+                                    top, ainv):
             raise _not_bicontinuous(dom_space, z, p, msg)
 
 
@@ -105,24 +116,25 @@ def _certify_input(f: PartialMap, dom_space: FiniteMetricSpace,
     hit = star_condition(alpha, beta, box)
     if hit is not None:
         s, t, lhs, rhs = hit[:4]
-        raise PreconditionError(
-            f"moduli fail alpha_inv(s)+beta(t) >= alpha_inv(s+t) at "
-            f"(s, t) = ({s}, {t}): {lhs} < {rhs}; with such moduli a new "
-            f"image is obstructed by the triangle inequality between the "
-            f"upper bound through one point and the lower bound through "
-            f"another")
+        with as_text():
+            raise PreconditionError(
+                f"moduli fail alpha_inv(s)+beta(t) >= alpha_inv(s+t) at "
+                f"(s, t) = ({s}, {t}): {lhs} < {rhs}; with such moduli a "
+                f"new image is obstructed by the triangle inequality "
+                f"between the upper bound through one point and the lower "
+                f"bound through another")
 
 
-def _prescribe(f: PartialMap, dom_space: FiniteMetricSpace,
-               rng_space: FiniteMetricSpace, beta: PLFunction,
-               p: int) -> dict[int, Fraction]:
+def _prescribe(f: PartialMap, rng_space: FiniteMetricSpace,
+               caps: Sequence[Fraction]) -> dict[int, Fraction]:
     """d(q, y) = min over z of d(f(z), y) + beta(d(z, p)), for y in f's images.
 
-    Prescribed on the images only; realize_point completes the rest by the
-    same shortest-path rule, which by the triangle inequality gives the
-    minimum over z at every other range point too.
+    caps[i] is beta(d(z, p)) for the i-th domain point z of f (see
+    :func:`_caps`).  Prescribed on the images only; realize_point completes
+    the rest by the same shortest-path rule, which by the triangle
+    inequality gives the minimum over z at every other range point too.
     """
-    reach = [(fz, beta.value(dom_space.d(z, p))) for z, fz in f.pairs()]
+    reach = list(zip(f.images, caps))
     return {y: min(rng_space.d(fz, y) + b for fz, b in reach)
             for y in f.images}
 
@@ -148,10 +160,10 @@ def extend_one_point_mc(f: PartialMap, dom_space: FiniteMetricSpace,
     _certify_input(f, dom_space, rng_space, alpha, beta, p,
                    max(rat(bound), dom_space.diameter()))
 
-    grown, q = realize_point(rng_space,
-                             _prescribe(f, dom_space, rng_space, beta, p))
+    caps = _caps(f, dom_space, beta, p)
+    grown, q = realize_point(rng_space, _prescribe(f, rng_space, caps))
     new_map = f.extended(p, q)
-    _require_new_pairs(f, dom_space, grown, alpha, beta, p, q)
+    _require_new_pairs(f, dom_space, grown, alpha, caps, p, q)
     return McExtension(new_map, grown, q)
 
 
@@ -281,7 +293,8 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
     q_prev: Optional[int] = None
     for n, net in enumerate(nets):
         net_map = PartialMap(net, tuple(image[z] for z in net))
-        values = _prescribe(net_map, dom_space, rng_space, beta, p)
+        caps = _caps(net_map, dom_space, beta, p)
+        values = _prescribe(net_map, rng_space, caps)
         gap = gap_bound = None
         if q_prev is not None:
             gap = max(abs(values[y] - rng_space.d(y, q_prev))
@@ -291,7 +304,7 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
             values[q_prev] = gap
         rng_space, q = realize_point(rng_space, values)
         # level map bicontinuous on net union {p}:
-        _require_new_pairs(net_map, dom_space, rng_space, alpha, beta, p, q)
+        _require_new_pairs(net_map, dom_space, rng_space, alpha, caps, p, q)
         levels.append(NetLevel(n, net, q, gap, gap_bound))
         q_prev = q
     return NetRefinement(tuple(levels), rng_space, q_prev)
@@ -347,9 +360,10 @@ def separation_witness(gamma: PLFunction, delta: MCSemigroup,
         raise PreconditionError("depth must be nonnegative")
     for i, gen in enumerate(delta.generators):
         if gamma.first_slope <= gen.first_slope:
-            raise PreconditionError(
-                f"gamma is dominated near 0 by generator {i} "
-                f"(slope {gamma.first_slope} <= {gen.first_slope})")
+            with as_text():
+                raise PreconditionError(
+                    f"gamma is dominated near 0 by generator {i} "
+                    f"(slope {gamma.first_slope} <= {gen.first_slope})")
     space = FiniteMetricSpace.from_rows(("x",), ((0,),))
     base = 0
 

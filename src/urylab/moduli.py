@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Rational, rat
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, as_text
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class PLFunction:
     def __post_init__(self):
         if not self.breakpoints:
             raise StructuralError("need at least one breakpoint")
-        ts = [t for t, _ in self.breakpoints]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        # t0 < t1 read on integers: n0 * d1 < n1 * d0 (denominators are > 0)
+        ts = [t.as_integer_ratio() for t, _ in self.breakpoints]
+        if any(n1 * d0 <= n0 * d1 for (n0, d0), (n1, d1) in zip(ts, ts[1:])):
             raise StructuralError("breakpoint abscissas must strictly increase")
 
     @classmethod
@@ -55,25 +56,51 @@ class PLFunction:
         out.append(self.final_slope)
         return tuple(out)
 
+    def _slope_pairs(self) -> list[tuple[int, int]]:
+        """Each piece's slope as an unreduced integer pair (p, q), tail last.
+
+        Piece k's pair is (v1 - v0) * t0d * t1d over (t1 - t0) * v0d * v1d,
+        with the numerators and denominators of its two breakpoints.  The
+        knots increase, so q > 0: p carries the slope's sign, two slopes
+        compare by one cross product, and Fraction(p, q) is the slope.
+        """
+        pts = [(t.as_integer_ratio(), v.as_integer_ratio())
+               for t, v in self.breakpoints]
+        out = [((vn1 * vd0 - vn0 * vd1) * td0 * td1,
+                (tn1 * td0 - tn0 * td1) * vd0 * vd1)
+               for ((tn0, td0), (vn0, vd0)), ((tn1, td1), (vn1, vd1))
+               in zip(pts, pts[1:])]
+        out.append(self.final_slope.as_integer_ratio())
+        return out
+
     @cached_property
     def _modulus_report(self) -> tuple[str, ...]:
-        """The report of :func:`modulus_validate`; a frozen object keeps it."""
+        """The report of :func:`modulus_validate`; a frozen object keeps it.
+
+        Decided on the integer slope pairs of :meth:`_slope_pairs`; a
+        Fraction is built only to name a failing slope.
+        """
         out = []
         t0, v0 = self.breakpoints[0]
         if (t0, v0) != (0, 0):
-            out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
-        vs = [v for _, v in self.breakpoints]
-        if any(b <= a for a, b in zip(vs, vs[1:])):
+            with as_text():
+                out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
+        slopes = self._slope_pairs()
+        # the values strictly increase exactly when every finite piece rises
+        if any(p <= 0 for p, _ in slopes[:-1]):
             out.append("values are not strictly increasing")
-        slopes = self._slopes
-        for k, s in enumerate(slopes):
-            if s <= 0:
-                out.append(f"nonpositive slope {s} on piece {k}")
-        for k, (a, b) in enumerate(zip(slopes, slopes[1:])):
-            if b > a:
-                out.append(
-                    f"concavity violated between pieces {k} and {k + 1}: "
-                    f"slope rises {a} -> {b}")
+        for k, (p, q) in enumerate(slopes):
+            if p <= 0:
+                with as_text():
+                    out.append(
+                        f"nonpositive slope {Fraction(p, q)} on piece {k}")
+        for k, ((p0, q0), (p1, q1)) in enumerate(zip(slopes, slopes[1:])):
+            if p1 * q0 > p0 * q1:
+                with as_text():
+                    out.append(
+                        f"concavity violated between pieces {k} and {k + 1}: "
+                        f"slope rises {Fraction(p0, q0)} -> "
+                        f"{Fraction(p1, q1)}")
         return tuple(out)
 
     def _on_segment(self, k: int, t: Fraction) -> Fraction:
@@ -124,7 +151,7 @@ class PLFunction:
 
     @cached_property
     def _inverse(self) -> "PLFunction":
-        if any(s <= 0 for s in self._slopes):
+        if any(p <= 0 for p, _ in self._slope_pairs()):
             raise PreconditionError("only strictly increasing PL maps invert")
         return PLFunction(tuple((v, t) for t, v in self.breakpoints),
                           1 / self.final_slope)

@@ -201,6 +201,34 @@ def random_modulus_reference(rng, pieces=3, den=8, slope_hi=4):
     return m
 
 
+def knots_increase_reference(breakpoints):
+    """Do the breakpoint abscissas strictly increase, compared as Fractions?"""
+    ts = [t for t, _ in breakpoints]
+    return all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def modulus_report_reference(f):
+    """modulus_validate's report from Fraction slopes: each piece's
+    (v1 - v0) / (t1 - t0), the tail slope last, compared as Fractions."""
+    out = []
+    t0, v0 = f.breakpoints[0]
+    if (t0, v0) != (0, 0):
+        out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
+    vs = [v for _, v in f.breakpoints]
+    if any(b <= a for a, b in zip(vs, vs[1:])):
+        out.append("values are not strictly increasing")
+    slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1)
+              in zip(f.breakpoints, f.breakpoints[1:])] + [f.final_slope]
+    for k, s in enumerate(slopes):
+        if s <= 0:
+            out.append(f"nonpositive slope {s} on piece {k}")
+    for k, (a, b) in enumerate(zip(slopes, slopes[1:])):
+        if b > a:
+            out.append(f"concavity violated between pieces {k} and {k + 1}: "
+                       f"slope rises {a} -> {b}")
+    return tuple(out)
+
+
 def validate_space_reference(space):
     """validate_space as the scan over every ordered triple."""
     n = len(space.labels)

@@ -731,6 +731,45 @@ def test_cli_other_value_errors_still_propagate(monkeypatch):
         main(["fuzz", "--suite", "bilip"])
 
 
+def test_cli_failure_text_past_the_digit_limit_exits_2(tmp_path, capsys):
+    if not sys.get_int_max_str_digits():
+        pytest.skip("int() digit limit is disabled")
+    # each token parses, but the second piece's slope has about 12,900
+    # digits and rises, so the concavity text cannot be written
+    a, b, c, d = (10 ** 4290 + k for k in (1, 3, 7, 9))
+    mc = tmp_path / "big.mc"
+    mc.write_text(f"mc\nbp 0 0\nbp 1/{a} 1/{b}\nbp 2/{c} 5/{d}\ntail 1\n")
+    assert main(["counterexample", "--alpha", str(mc), "--beta",
+                 str(DATA / "identity.mc"), "--s", "1", "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit")
+
+
+def test_cli_pair_text_past_the_digit_limit_exits_2(tmp_path, capsys):
+    if not sys.get_int_max_str_digits():
+        pytest.skip("int() digit limit is disabled")
+    # the input pair breaks beta, whose value at d = 1/a has about 8,600
+    # digits, so its failure text cannot be written
+    a, b, c = (10 ** 4290 + k for k in (1, 3, 7))
+    files = {
+        "x.ums": f"points 3\nlabels x0 x1 p\nrow 0 1/{a} 1\n"
+                 f"row 1/{a} 0 1\nrow 1 1 0\n",
+        "y.ums": "points 2\nlabels y0 y1\nrow 0 5\nrow 5 0\n",
+        "f.map": "pair x0 y0\npair x1 y1\n",
+        "beta.mc": f"mc\nbp 0 0\nbp 1/{b} 1/{c}\ntail 1/2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(["extend-mc", *(str(tmp_path / n) for n in
+                                ("x.ums", "y.ums", "f.map")),
+                 "--alpha", str(DATA / "identity.mc"),
+                 "--beta", str(tmp_path / "beta.mc"), "--point", "p"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit")
+
+
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -1,15 +1,18 @@
 """Piecewise-linear modulus algebra, the germ order, and compatibility."""
 
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle_utils import (box_grid_reference, pl_value_reference,
+from oracle_utils import (box_grid_reference, knots_increase_reference,
+                          modulus_report_reference, pl_value_reference,
                           star_on_box_reference)
-from urylab import (MCSemigroup, PLFunction, PreconditionError, compatible,
+from urylab import (CompatibilityReport, MCSemigroup, PLFunction,
+                    PreconditionError, StructuralError, compatible,
                     is_modulus, linear, modulus_compose, modulus_inverse,
                     modulus_precedes, modulus_validate, star_condition)
 from urylab.gen import random_compatible_pair, random_modulus
@@ -383,3 +386,159 @@ def test_an_invalid_modulus_reports_the_same_tuple_twice():
     with pytest.raises(PreconditionError, match="^beta is not a valid "
                        "modulus: first breakpoint is"):
         require_modulus(bad, "beta")
+
+
+def _rough_pl(rng):
+    """Breakpoints and a tail slope that may break any modulus invariant.
+
+    Each piece keeps the last slope, lowers it, raises it, or sets it to 0
+    or below; a step may repeat or reverse a knot, and the first breakpoint
+    may leave the origin.  One draw in five has denominators of a few
+    hundred digits.
+    """
+    big = rng.random() < 0.2
+
+    def rational(lo, hi):
+        den = rng.randrange(10 ** 100, 10 ** 200) if big else rng.randint(1, 8)
+        return F(rng.randint(lo * den, hi * den), den)
+
+    t = v = F(0)
+    if rng.random() < 0.15:
+        t, v = rational(0, 2), rational(-1, 2)
+    points = [(t, v)]
+    slope = rational(1, 4)
+
+    def next_slope(slope):
+        roll = rng.random()
+        if roll < 0.08:
+            return F(0)
+        if roll < 0.14:
+            return -rational(0, 2)
+        if roll < 0.3:
+            return slope + rational(0, 1)
+        if roll < 0.5:
+            return slope
+        return slope * rational(0, 1)
+
+    for _ in range(rng.randint(0, 5)):
+        dt = rational(1, 2) if rng.random() > 0.06 else rational(-1, 0)
+        t, v = t + dt, v + slope * dt
+        points.append((t, v))
+        slope = next_slope(slope)
+    return tuple(points), slope
+
+
+def _same_verdict_as_the_reference(points, tail):
+    """modulus_validate against the Fraction reference; returns the kinds of
+    failure seen, for coverage counts."""
+    if not knots_increase_reference(points):
+        with pytest.raises(StructuralError,
+                           match="^breakpoint abscissas must strictly "
+                                 "increase$"):
+            PLFunction(points, tail)
+        return {"knots"}
+    f = PLFunction(points, tail)
+    report = modulus_validate(f)
+    assert report == modulus_report_reference(f)
+    kinds = {msg.split()[0] for msg in report} or {"valid"}
+    if max(x.denominator for pt in points for x in pt) > 10 ** 50:
+        kinds.add("big")
+    return kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_modulus_validate_matches_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        _same_verdict_as_the_reference(*_rough_pl(rng))
+
+
+def test_the_reference_comparison_reaches_every_verdict():
+    rng = random.Random(51)
+    seen = Counter()
+    for _ in range(1500):
+        seen.update(_same_verdict_as_the_reference(*_rough_pl(rng)))
+    # first breakpoint off the origin, values not strictly increasing,
+    # nonpositive slopes, rising slopes, knots out of order, and valid moduli
+    for kind in ("first", "values", "nonpositive", "concavity", "knots",
+                 "valid", "big"):
+        assert seen[kind] >= 30, seen
+
+
+EPS = F(1, 1000)
+
+
+@pytest.mark.parametrize("points, tail, report", [
+    # two equal consecutive slopes, then the second one just above
+    ([(0, 0), (1, 1), (2, 2)], F(1, 2), ()),
+    ([(0, 0), (1, 1), (2, 2 + EPS)], F(1, 2),
+     ("concavity violated between pieces 0 and 1: "
+      "slope rises 1 -> 1001/1000",)),
+    # a tail slope equal to the last interior slope, then just above
+    ([(0, 0), (1, 2)], 2, ()),
+    ([(0, 0), (1, 2)], 2 + EPS,
+     ("concavity violated between pieces 0 and 1: "
+      "slope rises 2 -> 2001/1000",)),
+    # the smallest slope tried is accepted, and a slope of exactly 0 is not
+    ([(0, 0), (1, 1), (2, 1 + EPS)], EPS, ()),
+    ([(0, 0), (1, 1), (2, 1)], F(0),
+     ("values are not strictly increasing", "nonpositive slope 0 on piece 1",
+      "nonpositive slope 0 on piece 2")),
+    ([(0, 0), (1, 1)], F(0), ("nonpositive slope 0 on piece 1",)),
+    ([(0, 0), (1, 1)], -EPS,
+     ("nonpositive slope -1/1000 on piece 1",)),
+    # the first breakpoint just off the origin
+    ([(0, EPS), (1, 1)], F(1, 2),
+     ("first breakpoint is (0, 1/1000), not (0, 0)",)),
+])
+def test_modulus_validate_at_each_boundary(points, tail, report):
+    f = PLFunction.from_points(points, tail)
+    assert modulus_validate(f) == report == modulus_report_reference(f)
+
+
+def test_repeated_knots_are_refused_and_close_ones_are_not():
+    with pytest.raises(StructuralError, match="must strictly increase"):
+        PLFunction.from_points([(0, 0), (1, 1), (1, 2)], 1)
+    close = PLFunction.from_points([(0, 0), (1, 1), (1 + EPS, 2)], 1)
+    assert close.knot_abscissas() == (0, 1, 1 + EPS)
+
+
+# alpha^-1 runs at slope 1/2 up to its knot (2, 1) and at 2 after it; every
+# box below is [0, 2]^2, so with beta = c*t the far corner holds
+# g(2, 2) = 1 + 2c - 5, which is 0 exactly at c = 2
+STEEP_THEN_FLAT = PLFunction.from_points([(0, 0), (1, 2)], F(1, 2))
+TINY = F(1, 10 ** 6)
+
+
+def test_a_far_corner_of_exactly_zero_is_accepted():
+    beta = linear(1).scale(2)
+    assert star_condition(STEEP_THEN_FLAT, beta, 0) is None
+    assert star_on_box_reference(STEEP_THEN_FLAT, beta, F(2), 1) is None
+    assert compatible(STEEP_THEN_FLAT, beta) \
+        == CompatibilityReport(True, None, F(2))
+
+
+def test_a_far_corner_just_below_zero_is_refused_with_its_witness():
+    beta = linear(1).scale(2 - TINY)
+    hit = star_on_box_reference(STEEP_THEN_FLAT, beta, F(2), 1)
+    assert hit is not None and hit[1] == 2 and hit[2] - hit[3] == -2 * TINY
+    assert star_condition(STEEP_THEN_FLAT, beta, 0) == hit
+    assert compatible(STEEP_THEN_FLAT, beta) \
+        == CompatibilityReport(False, hit, F(2))
+
+
+def test_compatible_at_a_tail_slope_product_of_exactly_one():
+    # slopes 2 then 1 for both: on the box [0, 2]^2 the far corner has
+    # g = 1 in both directions, so only the tails can refuse the pair
+    alpha = PLFunction.from_points([(0, 0), (1, 2)], 1)
+    assert compatible(alpha, alpha).ok
+    below = alpha.scale(1 - TINY)
+    for a, b in ((alpha, below), (below, alpha)):
+        assert star_on_box_reference(a, b, F(2), 1) is None
+        assert star_on_box_reference(b, a, F(2), 2) is None
+        report = compatible(a, b)
+        assert not report.ok and report.box == 2
+        s, t, lhs, rhs, direction = report.witness
+        assert direction == 1 and s > 2 and t > 2
+        assert lhs - rhs == _deficit(a, b, s, t) < 0
