@@ -12,7 +12,8 @@ from itertools import combinations
 from operator import add
 from typing import Optional, Sequence, Union
 
-from .errors import DegenerateInputError, PreconditionError, StructuralError
+from .errors import (DegenerateInputError, PreconditionError, StructuralError,
+                     as_text)
 
 Rational = Union[Fraction, int]
 
@@ -132,16 +133,21 @@ def validate_space(space: FiniteMetricSpace) -> ValidationReport:
     d = space.dist
     for i in range(n):
         if d[i][i] != 0:
-            out.append(Violation("diagonal", (i,), f"d({i},{i}) = {d[i][i]} != 0"))
+            with as_text():
+                out.append(Violation("diagonal", (i,),
+                                     f"d({i},{i}) = {d[i][i]} != 0"))
     symmetric = True
     for i in range(n):
         for j in range(i + 1, n):
             if d[i][j] < 0:
-                out.append(Violation("negative", (i, j), f"d = {d[i][j]} < 0"))
+                with as_text():
+                    out.append(Violation("negative", (i, j),
+                                         f"d = {d[i][j]} < 0"))
             if d[i][j] != d[j][i]:
                 symmetric = False
-                out.append(Violation("symmetry", (i, j),
-                                     f"{d[i][j]} != {d[j][i]}"))
+                with as_text():
+                    out.append(Violation("symmetry", (i, j),
+                                         f"{d[i][j]} != {d[j][i]}"))
             if d[i][j] == 0:
                 out.append(Violation("identity", (i, j),
                                      "distinct points at distance 0"))
@@ -159,9 +165,10 @@ def validate_space(space: FiniteMetricSpace) -> ValidationReport:
                     if symmetric:
                         triangles.append((k, j, i))
     triangles.sort()
-    out.extend(Violation("triangle", (i, j, k),
-                         f"{d[i][k]} > {d[i][j]} + {d[j][k]}")
-               for i, j, k in triangles)
+    with as_text():
+        out.extend(Violation("triangle", (i, j, k),
+                             f"{d[i][k]} > {d[i][j]} + {d[j][k]}")
+                   for i, j, k in triangles)
     return ValidationReport(tuple(out))
 
 

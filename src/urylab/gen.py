@@ -16,7 +16,7 @@ from .amalgam import POLICIES, katetov_extend, realize_point
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
 from .core import FiniteMetricSpace, PartialMap, rat
-from .errors import PreconditionError
+from .errors import PreconditionError, as_text
 from .groupmetric import AutoMap, dist_L, dist_S
 from .moduli import PLFunction, compatible, is_modulus, linear
 
@@ -223,7 +223,8 @@ def random_bicontinuous_instance(rng: random.Random, n: int = 4
 def campaign_amalgam(seed: int, count: int) -> list[str]:
     from .amalgam import amalgamate
     from .core import validate_space
-    out = [f"suite=amalgam seed={seed} count={count}"]
+    with as_text():
+        out = [f"suite=amalgam seed={seed} count={count}"]
     rng = random.Random(seed)
     for i in range(count):
         space = random_space(rng, rng.randint(3, 6))
@@ -244,13 +245,15 @@ def campaign_amalgam(seed: int, count: int) -> list[str]:
 
 
 def campaign_bilip(seed: int, count: int) -> list[str]:
-    out = [f"suite=bilip seed={seed} count={count}"]
+    with as_text():
+        out = [f"suite=bilip seed={seed} count={count}"]
     rng = random.Random(seed)
     for i in range(count):
         space, f, ball, kn = random_compliant_instance(rng, grow=3)
         cert = is_compliant(f, ball, kn, space)
-        out.append(f"i={i} pairs={len(f)} lip={cert.lip_value} "
-                   f"ok={str(cert.ok).lower()}")
+        with as_text():
+            out.append(f"i={i} pairs={len(f)} lip={cert.lip_value} "
+                       f"ok={str(cert.ok).lower()}")
         if not cert.ok:
             break
     return out
@@ -258,7 +261,8 @@ def campaign_bilip(seed: int, count: int) -> list[str]:
 
 def campaign_mc(seed: int, count: int) -> list[str]:
     from .mc_extend import extend_one_point_mc
-    out = [f"suite=mc seed={seed} count={count}"]
+    with as_text():
+        out = [f"suite=mc seed={seed} count={count}"]
     rng = random.Random(seed)
     for i in range(count):
         alpha, beta, f, dom, rng_space = random_bicontinuous_instance(rng)
@@ -270,7 +274,8 @@ def campaign_mc(seed: int, count: int) -> list[str]:
 
 
 def campaign_group(seed: int, count: int) -> list[str]:
-    out = [f"suite=group seed={seed} count={count}"]
+    with as_text():
+        out = [f"suite=group seed={seed} count={count}"]
     rng = random.Random(seed)
     space = random_space(rng, 8)
     for i in range(count):
@@ -281,7 +286,8 @@ def campaign_group(seed: int, count: int) -> list[str]:
         rhs = dist_S(f, g) + dist_S(g, h)
         li = dist_L(h.compose(f), h.compose(g)) == dist_L(f, g)
         ok = lhs <= rhs and li
-        out.append(f"i={i} dS={lhs} ok={str(ok).lower()}")
+        with as_text():
+            out.append(f"i={i} dS={lhs} ok={str(ok).lower()}")
         if not ok:
             break
     return out

@@ -281,13 +281,15 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
         if n > 0 and not set(nets[n - 1]) <= set(net):
             raise PreconditionError(f"net {n} does not refine net {n - 1}")
         if beta.value(ep) > Fraction(1, 2 ** n):
-            raise PreconditionError(
-                f"beta(eps_{n}) = {beta.value(ep)} > 2^-{n}")
+            with as_text():
+                raise PreconditionError(
+                    f"beta(eps_{n}) = {beta.value(ep)} > 2^-{n}")
         for x in f.domain:
             if all(dom_space.d(x, z) >= ep for z in net):
-                raise PreconditionError(
-                    f"net {n} leaves {dom_space.labels[x]!r} uncovered at "
-                    f"scale {ep}")
+                with as_text():
+                    raise PreconditionError(
+                        f"net {n} leaves {dom_space.labels[x]!r} uncovered "
+                        f"at scale {ep}")
 
     levels: list[NetLevel] = []
     q_prev: Optional[int] = None

@@ -8,7 +8,6 @@ curved moduli (roots, powers) are admitted only through PL interpolants.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -103,16 +102,45 @@ class PLFunction:
                         f"{Fraction(p1, q1)}")
         return tuple(out)
 
+    @cached_property
+    def _lines(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Each segment's knot and line on integers, the tail last.
+
+        Segment k is (kn, kd, A, B, C): its knot kn/kd, and its line
+        f(t) = (A*tn + B*td) / (C*td) at t = tn/td.  With the slope p/q and
+        the intercept v0 - slope*t0 = r/s, A = p*s, B = r*q and C = q*s, so
+        each product joins two normalized numbers and no lcm is formed.
+        """
+        out = []
+        for (t0, v0), slope in zip(self.breakpoints, self._slopes):
+            p, q = slope.as_integer_ratio()
+            r, s = (v0 - slope * t0).as_integer_ratio()
+            out.append((*t0.as_integer_ratio(), p * s, r * q, q * s))
+        return tuple(out)
+
     def _on_segment(self, k: int, t: Fraction) -> Fraction:
         """The line of segment k at t; segment 0 also covers t below its knot."""
-        t0, v0 = self.breakpoints[k]
-        return v0 + self._slopes[k] * (t - t0)
+        tn, td = t.as_integer_ratio()
+        _, _, a, b, c = self._lines[k]
+        return Fraction(a * tn + b * td, c * td)
 
     def value(self, t: Rational) -> Fraction:
         t = rat(t)
-        if t < 0:
+        tn, td = t.as_integer_ratio()
+        if tn < 0:
             raise PreconditionError("moduli are defined on [0, oo)")
-        return self._on_segment(max(bisect_right(self._knots, t) - 1, 0), t)
+        # the last segment whose knot is <= t, or segment 0 below every knot;
+        # t < kn/kd is read on integers as tn*kd < kn*td (denominators > 0)
+        lines = self._lines
+        lo, hi = 1, len(lines)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            kn, kd, _, _, _ = lines[mid]
+            if tn * kd < kn * td:
+                hi = mid
+            else:
+                lo = mid + 1
+        return self._on_segment(lo - 1, t)
 
     def _values_ascending(self, ts: Iterable[Fraction]) -> list[Fraction]:
         """``value`` at each of the nondecreasing, nonnegative ``ts``.

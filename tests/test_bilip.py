@@ -14,6 +14,7 @@ from urylab import (Ball, DegenerateInputError, ExtensionTrace,
                     kn_admissible, move_point_in_ball, realize_point,
                     segment_transport_bound, validate_space)
 from urylab.cli import verify_trace_lines
+from urylab.core import GoodnessReport
 from urylab.gen import (random_compliant_instance, random_outside_points,
                         random_point_in_ball)
 from oracle_utils import (assert_condition_g, assert_pairwise_bounds,
@@ -290,6 +291,122 @@ def test_step_postcondition_rejects_broken_solve(e, s, error, monkeypatch):
     with pytest.raises(error):
         extend_one_point(f, ball, kn, 1, "domain", space)
     assert not realized
+
+
+TINY = F(1, 10 ** 6)
+
+
+# Solver outputs at the boundary of each postcondition of the step, on the
+# worked instance (d_1 = d(x, x1) = 1, K = 2, N = 4) with r = 10 or, to make
+# the budget (r - d_1)/N bind, r = 5.  Each boundary is accepted and the
+# next output, TINY past it, is refused with its exact text.
+@pytest.mark.parametrize("r, e, s, message", [
+    # e_1 = K*d_1, then TINY above
+    (10, F(2), F(3, 2), None),
+    (10, 2 + TINY, F(3, 2), "new pair breaks the stretch bound against "
+                            "'x1': d = 1, e = 2000001/1000000, K = 2"),
+    # d_1 = K*e_1, then e_1 TINY below
+    (10, F(1, 2), F(1), None),
+    (10, F(1, 2) - TINY, F(1), "new pair breaks the stretch bound against "
+                               "'x1': d = 1, e = 499999/1000000, K = 2"),
+    # |s - e_1| = d(x, x1), then s TINY above
+    (10, F(1), F(2), None),
+    (10, F(1), 2 + TINY, "not a one-point prescription on ('x1', 'x'): "
+                         "e = 1, s = 2000001/1000000, d = 1"),
+    # d(x, x1) = s + e_1, then s TINY below
+    (10, F(3, 4), F(1, 4), None),
+    (10, F(3, 4), F(1, 4) - TINY, "not a one-point prescription on "
+                                  "('x1', 'x'): e = 3/4, "
+                                  "s = 249999/1000000, d = 1"),
+    # N*s = r - d_1, then s TINY above
+    (5, F(3, 4), F(1), None),
+    (5, F(3, 4), 1 + TINY,
+     "new pair at distance 1000001/1000000 is not 4-good"),
+    # N*s = r - e_1 (the worked step itself), then s TINY above
+    (10, F(5, 4), F(35, 16), None),
+    (10, F(5, 4), F(35, 16) + TINY,
+     "new pair at distance 2187501/1000000 is not 4-good"),
+], ids=["stretch-K", "stretch-above", "shrink-K", "shrink-below",
+        "katetov-gap", "katetov-gap-above", "katetov-sum", "katetov-sum-below",
+        "goodness-x", "goodness-x-above", "goodness-y", "goodness-y-above"])
+def test_step_postcondition_at_each_boundary(r, e, s, message, monkeypatch):
+    monkeypatch.setattr(bilip, "_solve_new_distances",
+                        lambda *args, **kw: ([e], s, []))
+    space, _, kn, f = worked_setup()
+    ball = Ball(0, r)
+    if message is None:
+        g, grown, _ = extend_one_point(f, ball, kn, 1, "domain", space)
+        assert g == PartialMap((0, 1), (0, 2))
+        assert (grown.d(2, 0), grown.d(2, 1)) == (e, s)
+        assert is_compliant(g, ball, kn, grown).ok
+        return
+    realized = []
+    monkeypatch.setattr(FiniteMetricSpace, "with_point",
+                        lambda *args, **kw: realized.append(args))
+    with pytest.raises(PreconditionError) as exc:
+        extend_one_point(f, ball, kn, 1, "domain", space)
+    assert str(exc.value) == message and not realized
+
+
+def _goodness_edge(gap, forward):
+    """c, a and b with a 1 and b 3/4 from the center c and d(a, b) = gap.
+    In the ball of radius 5 with N = 4, a may move by (5 - 1)/4 = 1 and b
+    by 17/16, so gap = 1 uses a's budget exactly: forward when the map
+    sends a to b, backward when it sends b to a."""
+    space = FiniteMetricSpace.from_rows(
+        ("c", "a", "b"), ((0, 1, F(3, 4)), (1, 0, gap), (F(3, 4), gap, 0)))
+    return space, PartialMap((0, 1), (0, 2)) if forward \
+        else PartialMap((0, 2), (0, 1))
+
+
+def _stretch_edge(position):
+    """c at 0, a at 1 and b at ``position`` on a line; the map fixes c and
+    sends a to b, so its stretch is max(position, 1/position)."""
+    space = FiniteMetricSpace.from_rows(
+        ("c", "a", "b"), ((0, 1, position), (1, 0, abs(position - 1)),
+                          (position, abs(position - 1), 0)))
+    return space, PartialMap((0, 1), (0, 2))
+
+
+@pytest.mark.parametrize("space, f, ball, report, message", [
+    (*_goodness_edge(F(1), True), Ball(0, 5),
+     GoodnessReport(True, F(0), F(1, 16), 1, 2), None),
+    (*_goodness_edge(1 + TINY, True), Ball(0, 5),
+     GoodnessReport(False, -TINY, F(1, 16) - TINY, 1, 2),
+     "goodness bound fails at domain point 'a': slack -1/1000000"),
+    (*_goodness_edge(F(1), False), Ball(0, 5),
+     GoodnessReport(True, F(1, 16), F(0), 2, 1), None),
+    (*_goodness_edge(1 + TINY, False), Ball(0, 5),
+     GoodnessReport(False, F(1, 16) - TINY, -TINY, 2, 1),
+     "goodness bound fails at range point 'a': slack -1/1000000"),
+    (*_stretch_edge(F(2)), Ball(0, 100), F(2), None),
+    (*_stretch_edge(2 + TINY), Ball(0, 100), 2 + TINY,
+     "stretch bound fails at ('c', 'a'): ratio 2000001/1000000 > K = 2"),
+    (*_stretch_edge(F(1, 2)), Ball(0, 100), F(2), None),
+    (*_stretch_edge(F(1, 2) - TINY), Ball(0, 100), 1 / (F(1, 2) - TINY),
+     "stretch bound fails at ('c', 'a'): ratio 1000000/499999 > K = 2"),
+], ids=["forward-0", "forward-below", "backward-0", "backward-below",
+        "stretch-K", "stretch-above", "shrink-K", "shrink-below"])
+def test_seed_certificate_at_each_boundary(space, f, ball, report, message):
+    # ``report`` is the goodness report, or the stretch for a stretch edge
+    kn = kn_admissible(2, 4)
+    cert = is_compliant(f, ball, kn, space)
+    if isinstance(report, GoodnessReport):
+        assert goodness_check(f, ball, kn.N, space) == report == cert.goodness
+    else:
+        assert (cert.lip_value, cert.lip_witness) == (report, (0, 1))
+        assert cert.lip_ok is (message is None)
+    assert cert.ok is (message is None)
+    if message is None:
+        assert extend_dense(f, ball, kn, [], space)[0] == f
+        assert verify_trace_lines(space, f, ball, kn, [], []) \
+            == (True, "verified 0 steps")
+        return
+    message = f"map is not (K, N)-compliant on input: {message}"
+    with pytest.raises(PreconditionError) as exc:
+        extend_dense(f, ball, kn, [], space)
+    assert str(exc.value) == message
+    assert verify_trace_lines(space, f, ball, kn, [], []) == (False, message)
 
 
 def test_chained_public_steps_match_extend_dense():

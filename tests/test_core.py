@@ -1,6 +1,7 @@
 """Metric axioms, Lipschitz constants, and goodness margins."""
 
 import random
+import sys
 from fractions import Fraction as F
 from itertools import permutations
 from pathlib import Path
@@ -12,6 +13,7 @@ from urylab import io
 from urylab import (Ball, DegenerateInputError, FiniteMetricSpace, PartialMap,
                     PreconditionError, StructuralError, goodness_check,
                     lip_constant, rat, validate_space)
+from urylab.errors import UnreportableError
 from urylab.gen import random_space
 
 
@@ -112,6 +114,23 @@ def test_validator_report_equals_the_ordered_triple_scan():
         space = io.parse_space(path.read_text())
         assert (validate_space(space).violations
                 == validate_space_reference(space).violations)
+
+
+HUGE = 10 ** (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="int() digit limit is disabled")
+@pytest.mark.parametrize("rows", [
+    ((HUGE, 1), (1, 0)),
+    ((0, -HUGE), (-HUGE, 0)),
+    ((0, HUGE), (1, 0)),
+    ((0, 1, HUGE), (1, 0, 1), (HUGE, 1, 0)),
+], ids=["diagonal", "negative", "symmetry", "triangle"])
+def test_a_violation_past_the_digit_limit_is_unreportable(rows):
+    space = FiniteMetricSpace.from_rows(tuple("abc"[:len(rows)]), rows)
+    with pytest.raises(UnreportableError, match="^Exceeds the limit"):
+        validate_space(space)
 
 
 def test_dimension_mismatch_is_structural():

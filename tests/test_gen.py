@@ -1,6 +1,7 @@
 """Seeded generators against their Fraction-arithmetic references."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from oracle_utils import (rand_fraction_reference, random_modulus_reference,
                           random_space_rows)
 from urylab import FiniteMetricSpace, validate_space
-from urylab.gen import rand_fraction, random_modulus, random_space
+from urylab.errors import UnreportableError
+from urylab.gen import (CAMPAIGNS, rand_fraction, random_modulus,
+                        random_space)
 
 
 @pytest.mark.parametrize("scale", [4, 1, F(1, 3), F(7, 2)])
@@ -70,3 +73,12 @@ def test_random_modulus_matches_the_fraction_draws(pieces, den, slope_hi):
         assert rng.getstate() == ref_rng.getstate()
     if slope_hi == 0:  # every slope takes rand_fraction's return-lo branch
         assert m.final_slope == F(1, den)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="int() digit limit is disabled")
+@pytest.mark.parametrize("suite", sorted(CAMPAIGNS))
+def test_a_campaign_seed_past_the_digit_limit_is_unreportable(suite):
+    seed = 10 ** (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(UnreportableError, match="^Exceeds the limit"):
+        CAMPAIGNS[suite](seed, 0)

@@ -2,6 +2,7 @@
 net-refined images, and the separation witness."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from urylab import (FiniteMetricSpace, MCSemigroup, PLFunction, PartialMap,
 from urylab import mc_extend
 from urylab.amalgam import realize_point
 from urylab.core import Ball
+from urylab.errors import UnreportableError
 from urylab.gen import line_space, random_bicontinuous_instance, \
     random_point_in_ball
 from urylab.mc_extend import bicontinuity_violations, require_bicontinuous
@@ -279,6 +281,19 @@ def test_net_refinement_eps_bound_checked():
     eps[3] = F(1)   # beta(1) = 2 > 2^-3
     with pytest.raises(PreconditionError):
         extend_totally_bounded(f, X, Y, linear(2), linear(2), 16, nets, eps)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="int() digit limit is disabled")
+def test_net_refinement_texts_past_the_digit_limit_are_unreportable():
+    # beta(eps_0) = 2 * 10^(limit + 1) > 1, then every point but the net's
+    # uncovered at scale 10^-(limit + 1)
+    X, Y, f, nets, _ = convergent_sequence_setup()
+    huge = 10 ** (sys.get_int_max_str_digits() + 1)
+    for ep in (F(huge), F(1, huge)):
+        with pytest.raises(UnreportableError, match="^Exceeds the limit"):
+            extend_totally_bounded(f, X, Y, linear(2), linear(2), 16,
+                                   nets[:1], [ep])
 
 
 GAMMA = PLFunction.from_points(

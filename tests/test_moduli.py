@@ -233,6 +233,95 @@ def test_value_matches_the_two_point_formula(seed, pieces):
                                                       cut.final_slope, t)
 
 
+def _rational(rng, lo, hi, big):
+    """A rational in [lo, hi]; with ``big``, over a 200-300-digit denominator."""
+    den = rng.randrange(10 ** 200, 10 ** 300) if big else rng.randint(1, 8)
+    return F(rng.randint(lo * den, hi * den), den)
+
+
+def _rough_increasing_pl(rng, big):
+    """Strictly increasing knots with any values and tail slope: the first
+    knot may sit off the origin, there may be one breakpoint only, and
+    pieces may fall or stay flat."""
+    t = _rational(rng, 0, 2, big) if rng.random() < 0.5 else F(0)
+    points = []
+    for _ in range(rng.randint(1, 5)):
+        points.append((t, _rational(rng, -2, 4, big)))
+        t += _rational(rng, 1, 2, big)
+    return PLFunction(tuple(points), _rational(rng, -2, 2, big))
+
+
+def _evaluated_family(rng):
+    """A valid modulus, its inverse, a composition and a multiple of it, the
+    modulus stretched by rationals of 200-300-digit denominators, and two
+    general PL functions, one of them over such denominators."""
+    m = random_modulus(rng, rng.randint(1, 16))
+    c, e = _rational(rng, 1, 3, True), _rational(rng, 1, 3, True)
+    stretched = PLFunction(tuple((c * t, e * v) for t, v in m.breakpoints),
+                           e / c * m.final_slope)
+    return (m, m.inverse(), m.compose(random_modulus(rng, 4)),
+            m.scale(_rational(rng, 1, 3, False)), stretched,
+            stretched.inverse(), _rough_increasing_pl(rng, False),
+            _rough_increasing_pl(rng, True))
+
+
+def _evaluation_points(rng, f):
+    """0, an int, every knot, a random rational inside each gap between
+    knots, one below a first knot off the origin, and two past the last."""
+    knots = f.knot_abscissas()
+    inside = [a + (b - a) * F(rng.randint(1, 999), 1000)
+              for a, b in zip(knots, knots[1:])]
+    below = [knots[0] * F(rng.randint(1, 999), 1000)] if knots[0] else []
+    past = [knots[-1] + F(rng.randint(1, 10 ** 6), rng.randint(1, 1000)),
+            knots[-1] + _rational(rng, 1, 2, True)]
+    return [F(0), 3, *knots, *inside, *below, *past]
+
+
+def _evaluation_matches_the_reference(rng):
+    """value and _values_ascending against the two-point formula; returns
+    the kinds of function seen, for coverage counts."""
+    kinds = set()
+    for f in _evaluated_family(rng):
+        ts = _evaluation_points(rng, f)
+        want = {t: pl_value_reference(f.breakpoints, f.final_slope, F(t))
+                for t in ts}
+        for t in ts:
+            got = f.value(t)
+            assert type(got) is F and got == want[t]
+        ascending = sorted(F(t) for t in ts)
+        assert f._values_ascending(ascending) == [want[t] for t in ascending]
+        for t in (-1, -F(1, 10 ** 250)):
+            with pytest.raises(PreconditionError,
+                               match=r"^moduli are defined on \[0, oo\)$"):
+                f.value(t)
+        if f.knot_abscissas()[0] > 0:
+            kinds.add("below")
+        if len(f.breakpoints) == 1:
+            kinds.add("single")
+        if min(f.slopes()) <= 0:
+            kinds.add("nonpositive")
+        if max(t.denominator for t in f.knot_abscissas()) > 10 ** 199:
+            kinds.add("big")
+    return kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_value_and_the_ascending_walk_match_the_reference(seed):
+    _evaluation_matches_the_reference(random.Random(seed))
+
+
+def test_the_evaluation_reference_reaches_every_kind():
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(100):
+        seen.update(_evaluation_matches_the_reference(rng))
+    # a first knot off the origin, a single breakpoint, a nonpositive
+    # slope, and knots over 200-300-digit denominators
+    for kind in ("below", "single", "nonpositive", "big"):
+        assert seen[kind] >= 20, seen
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(1, 16),
        product=st.sampled_from((F(1), F(15, 16), F(1, 2))))
