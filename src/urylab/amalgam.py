@@ -9,7 +9,7 @@ intersection can be merged point by point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .core import FiniteMetricSpace, Rational, rat
 from .errors import PreconditionError, as_text
@@ -25,6 +25,40 @@ _RULES: dict[str, Chooser] = {
     "maximal": lambda lo, hi: hi,
 }
 POLICIES = tuple(_RULES)
+
+
+def min_sum(pairs: Iterable[tuple[Rational, Rational]]) -> Fraction:
+    """min(x + y) over (x, y) pairs of rationals, exactly, as one Fraction.
+
+    Each sum stays the unreduced integer pair (xn*yd + yn*xd, xd*yd) and is
+    compared with the best so far by cross-multiplication, which is exact
+    because denominators are positive.  Only the winner becomes a Fraction,
+    so the result equals ``min(x + y for x, y in pairs)``.  An empty input
+    raises as ``min()`` does.  A float or Decimal entry, which ``rat`` would
+    reject, enters at its exact value.
+    """
+    bn, bd = 0, 0
+    for x, y in pairs:
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        n, d = xn * yd + yn * xd, xd * yd
+        if not bd or n * bd < bn * d:
+            bn, bd = n, d
+    if not bd:
+        min(())  # the interpreter's own empty-input ValueError
+    return Fraction(bn, bd)
+
+
+def max_gap(pairs: Iterable[tuple[Rational, Rational]]) -> Fraction:
+    """max |x - y| over (x, y) pairs, the twin of :func:`min_sum`."""
+    bn, bd = 0, 0
+    for x, y in pairs:
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        n, d = abs(xn * yd - yn * xd), xd * yd
+        if not bd or n * bd > bn * d:
+            bn, bd = n, d
+    if not bd:
+        max(())
+    return Fraction(bn, bd)
 
 
 def chooser(policy: Policy) -> Chooser:
@@ -71,8 +105,8 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
         for w in range(work.n):
             if w in known:
                 continue
-            lo = max(abs(g - work.d(z, w)) for z, g in known.items())
-            hi = min(g + work.d(z, w) for z, g in known.items())
+            lo = max_gap((g, work.d(z, w)) for z, g in known.items())
+            hi = min_sum((g, work.d(z, w)) for z, g in known.items())
             if lo > hi:
                 z_lo = next(z for z, g in known.items()
                             if abs(g - work.d(z, w)) == lo)
@@ -100,19 +134,28 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
 def katetov_violations(space: FiniteMetricSpace,
                        values: Mapping[int, Fraction]
                        ) -> list[tuple[int, int, str]]:
-    """Pairs of points where the one-point prescription breaks."""
+    """Pairs of points where the one-point prescription breaks.
+
+    Both pair inequalities are decided on integers: with g(a) = an/ad,
+    g(b) = bn/bd and d(a, b) = dn/dd, scaling by ad*bd*dd > 0 turns them
+    into |an*bd - bn*ad|*dd <= dn*ad*bd <= (an*bd + bn*ad)*dd.
+    """
     out = []
     keys = sorted(values)
     for idx, a in enumerate(keys):
-        if values[a] < 0:
+        ga = values[a]
+        an, ad = ga.as_integer_ratio()
+        if an < 0:
             with as_text():
-                out.append((a, a, f"negative value {values[a]}"))
+                out.append((a, a, f"negative value {ga}"))
         for b in keys[idx + 1:]:
-            ga, gb, dab = values[a], values[b], space.d(a, b)
-            if abs(ga - gb) > dab:
+            gb, dab = values[b], space.d(a, b)
+            (bn, bd), (dn, dd) = gb.as_integer_ratio(), dab.as_integer_ratio()
+            u, v, scaled = an * bd, bn * ad, dn * ad * bd
+            if abs(u - v) * dd > scaled:
                 with as_text():
                     out.append((a, b, f"|{ga} - {gb}| > d = {dab}"))
-            if dab > ga + gb:
+            if scaled > (u + v) * dd:
                 with as_text():
                     out.append((a, b, f"d = {dab} > {ga} + {gb}"))
     return out
@@ -145,11 +188,12 @@ def _katetov_fill(space: FiniteMetricSpace,
 
     The caller vouches for the pair inequalities on the support.  This is
     the upper end of :func:`amalgamate`'s one-point interval alone, kept
-    apart from it: no caller needs the lower end, and the fill is about a
-    quarter of ``extend_dense``'s time.
+    apart from it because no caller needs the lower end; each value is one
+    :func:`min_sum`.
     """
+    support = [(g, space.dist[a]) for a, g in vals.items()]
     return tuple(vals[w] if w in vals
-                 else min(g + space.d(a, w) for a, g in vals.items())
+                 else min_sum((g, row[w]) for g, row in support)
                  for w in range(space.n))
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .amalgam import realize_point
+from .amalgam import min_sum, realize_point
 from .core import FiniteMetricSpace, PartialMap, Rational, rat
 from .errors import PreconditionError, as_text
 from .moduli import MCSemigroup, PLFunction, require_modulus, star_condition
@@ -135,7 +135,7 @@ def _prescribe(f: PartialMap, rng_space: FiniteMetricSpace,
     inequality gives the minimum over z at every other range point too.
     """
     reach = list(zip(f.images, caps))
-    return {y: min(rng_space.d(fz, y) + b for fz, b in reach)
+    return {y: min_sum((rng_space.d(fz, y), b) for fz, b in reach)
             for y in f.images}
 
 

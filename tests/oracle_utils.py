@@ -303,3 +303,63 @@ def star_on_box_reference(alpha, beta, bound, direction):
             if lhs < rhs and (worst is None or lhs - rhs < worst[2] - worst[3]):
                 worst = (s, t, lhs, rhs, direction)
     return worst
+
+
+def katetov_fill_reference(space, vals):
+    """The shortest-path fill by Fraction sums: g(w) = min_a g(a) + d(a, w)."""
+    return tuple(vals[w] if w in vals
+                 else min(g + space.d(a, w) for a, g in vals.items())
+                 for w in range(space.n))
+
+
+def interval_ends_reference(pairs):
+    """One-point interval ends over (g(z), d(z, w)) pairs, in Fractions:
+    max |g(z) - d(z, w)| <= x <= min g(z) + d(z, w)."""
+    return (max(abs(g - d) for g, d in pairs),
+            min(g + d for g, d in pairs))
+
+
+def prescribe_reference(f, rng_space, caps):
+    """The mc prescription d(q, y) = min_z d(f(z), y) + caps[z] in Fractions."""
+    reach = list(zip(f.images, caps))
+    return {y: min(rng_space.d(fz, y) + b for fz, b in reach)
+            for y in f.images}
+
+
+def katetov_violations_reference(space, values):
+    """The pair inequalities of a one-point prescription, decided on
+    Fraction differences and sums, with their texts."""
+    out = []
+    keys = sorted(values)
+    for idx, a in enumerate(keys):
+        if values[a] < 0:
+            out.append((a, a, f"negative value {values[a]}"))
+        for b in keys[idx + 1:]:
+            ga, gb, dab = values[a], values[b], space.d(a, b)
+            if abs(ga - gb) > dab:
+                out.append((a, b, f"|{ga} - {gb}| > d = {dab}"))
+            if dab > ga + gb:
+                out.append((a, b, f"d = {dab} > {ga} + {gb}"))
+    return out
+
+
+def new_pair_compliant(f, x, y, ball, K, N, space):
+    """Does f stay compliant when x -> y is added, given that f is?
+
+    Compliance is a conjunction of per-pair conditions (stretch at most K
+    both ways, no zero distance) and per-point ones (strictly inside the
+    ball, N-good both ways), all read off the same space.  So f plus
+    x -> y is compliant exactly when f is and the new pair passes, stated
+    raw here: against every earlier pair, and on its own points.
+    """
+    r, c = ball.radius, ball.center
+    dx, dy, dxy = space.d(x, c), space.d(y, c), space.d(x, y)
+    if not (dx < r and dy < r):
+        return False
+    if dxy > (r - dx) / N or dxy > (r - dy) / N:
+        return False
+    for a, fa in f.pairs():
+        dd, ee = space.d(x, a), space.d(y, fa)
+        if dd == 0 or ee == 0 or ee > K * dd or dd > K * ee:
+            return False
+    return True

@@ -25,7 +25,8 @@ from urylab.gen import (line_space, random_bicontinuous_instance,
                         random_point_in_ball, random_space)
 from urylab.mc_extend import bicontinuity_violations
 from oracle_utils import (GRID, assert_condition_g, assert_pairwise_bounds,
-                          center_first_pairs, grid_endpoints)
+                          center_first_pairs, grid_endpoints,
+                          new_pair_compliant)
 
 
 @contextmanager
@@ -92,16 +93,20 @@ def test_criterion_03_compliance_preservation():
                 targets.append(x)
             final, space, trace = extend_dense(f, ball, kn, targets, space)
             assert_condition_g(trace, f, ball, kn, space)
+            # each step checks only the pair it adds, which with the final
+            # certificate proves every intermediate map compliant
             current = f
             for step in trace.steps:
                 if step.noop:
                     continue
-                if step.side == "domain":
-                    current = current.extended(step.target, step.realized)
-                else:
-                    current = current.extended(step.realized, step.target)
-                assert is_compliant(current, ball, kn, space).ok
+                x, y = step.target, step.realized
+                if step.side != "domain":
+                    x, y = y, x
+                assert new_pair_compliant(current, x, y, ball, kn.K, kn.N,
+                                          space)
+                current = current.extended(x, y)
             assert current == final
+            assert is_compliant(final, ball, kn, space).ok
 
 
 def test_criterion_04_gluing():

@@ -5,18 +5,24 @@ pair its minimal and maximal results are the interval's two ends.
 """
 
 import random
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from urylab import (FiniteMetricSpace, PartialMap, PreconditionError,
-                    amalgamate, extend_dense, extend_one_point,
+                    amalgam, amalgamate, extend_dense, extend_one_point,
                     katetov_extend, kn_admissible, realize_point,
                     validate_space)
-from urylab.amalgam import katetov_violations
+from urylab.amalgam import (POLICIES, _katetov_fill, katetov_violations,
+                            max_gap, min_sum)
 from urylab.core import Ball
 from urylab.gen import random_point_in_ball, random_space
+from urylab.mc_extend import _prescribe
+from oracle_utils import (interval_ends_reference, katetov_fill_reference,
+                          katetov_violations_reference, prescribe_reference)
 
 
 def _pair(label_a, label_b, d):
@@ -319,3 +325,212 @@ def test_random_point_in_ball_appends_only_the_accepted_row(monkeypatch):
         assert got == want
         assert rng.getstate() == twin.getstate()
         assert len(appends) == 1
+
+
+# --- the min-of-sums kernel against the Fraction reference ---------------
+
+KERNEL_KINDS = ("big", "int", "ties", "one")
+
+
+def _big(rng):
+    """A rational in [1, 2] over a denominator of 100-300 digits."""
+    digits = rng.randint(100, 300)
+    q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    return F(q + rng.randrange(q + 1), q)
+
+
+def _kernel_case(rng, kind):
+    """A space and a one-point prescription of the given kind.
+
+    Every off-diagonal entry lies in [1, 2] (or [k, 2k] for ints), so any
+    such matrix is metric.  "big" draws entries and values over 100-300-digit
+    denominators, some values scaled out of range so that each violation
+    text occurs; "int" builds the space directly with int entries and int
+    values; "ties" makes every support point give the same sum g(a) + d(a, w)
+    = 3 at each other point, from unreduced pairs over different
+    denominators; "one" has a single support point.
+    """
+    n = rng.randint(2, 7)
+    labels = tuple(f"p{i}" for i in range(n))
+    support = sorted(rng.sample(range(n), 1 if kind == "one"
+                                else rng.randint(1, n)))
+    if kind == "int":
+        k = rng.randint(1, 5)
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = rng.randint(k, 2 * k)
+        space = FiniteMetricSpace(labels, tuple(map(tuple, d)))
+        return space, {a: rng.randint(-1, 4 * k) for a in support}
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = (_big(rng) if kind == "big"
+                                 else F(rng.randint(8, 16), 8))
+    if kind == "ties":
+        values = {}
+        for a in support:
+            den = rng.randint(2, 50)
+            values[a] = F(rng.randint(den, 2 * den), den)
+            for w in range(n):
+                if w not in support:
+                    d[a][w] = d[w][a] = 3 - values[a]
+    else:
+        scale = (1, 1, 1, F(1, 4), 3, -1) if kind == "big" else (1,)
+        values = {a: _big(rng) * rng.choice(scale) for a in support}
+    return FiniteMetricSpace(labels, tuple(map(tuple, d))), values
+
+
+def _kernel_matches_the_reference(rng, kind):
+    """Every rule routed through the kernel, against its Fraction
+    reference on one drawn case; returns the violation texts' first
+    characters."""
+    space, values = _kernel_case(rng, kind)
+    got = katetov_violations(space, values)
+    assert got == katetov_violations_reference(space, values)
+    assert _katetov_fill(space, values) == katetov_fill_reference(space,
+                                                                  values)
+    images = tuple(values)
+    caps = [values[y] for y in images]
+    f = PartialMap(images, images)
+    assert _prescribe(f, space, caps) == prescribe_reference(f, space, caps)
+    for w in range(space.n):
+        if w not in values:
+            pairs = [(g, space.d(a, w)) for a, g in values.items()]
+            ends = (max_gap(pairs), min_sum(pairs))
+            assert ends == interval_ends_reference(pairs)
+            assert all(type(end) is F for end in ends)
+    _amalgamate_matches_the_reference(rng, space)
+    return {text[0] for _, _, text in got} or {"none"}
+
+
+def _amalgamate_matches_the_reference(rng, space):
+    """amalgamate of two overlapping restrictions of ``space``, with every
+    interval end it computes checked against the reference."""
+    n = space.n
+    cut0, cut1 = sorted(rng.sample(range(1, n + 1), 2)) if n > 1 else (1, 1)
+    shared = list(range(cut0))
+    idx0, idx1 = shared + list(range(cut1, n)), list(range(cut1))
+
+    def restrict(idx):
+        return FiniteMetricSpace(
+            tuple(space.labels[i] for i in idx),
+            tuple(tuple(space.d(i, j) for j in idx) for i in idx))
+
+    def checked(kernel, end):
+        def run(pairs):
+            pairs = list(pairs)
+            got = kernel(pairs)
+            assert got == interval_ends_reference(pairs)[end]
+            return got
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amalgam, "max_gap", checked(max_gap, 0))
+        mp.setattr(amalgam, "min_sum", checked(min_sum, 1))
+        amalgamate(restrict(idx0), restrict(idx1),
+                   policy=rng.choice(POLICIES))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KERNEL_KINDS))
+def test_the_kernel_rules_match_the_fraction_reference(seed, kind):
+    _kernel_matches_the_reference(random.Random(seed), kind)
+
+
+def test_the_kernel_reference_reaches_every_kind():
+    rng = random.Random(71)
+    texts = Counter()
+    for _ in range(50):
+        for kind in KERNEL_KINDS:
+            texts.update(_kernel_matches_the_reference(rng, kind))
+    # each violation text by its first character ('negative value ...',
+    # '|g(a) - g(b)| > d ...', 'd = ... > ...'), and no violation at all
+    for text in ("n", "|", "d", "none"):
+        assert texts[text] >= 20, texts
+
+
+def test_the_kernel_raises_on_an_empty_input_as_min_and_max_do():
+    for kernel, builtin in ((min_sum, min), (max_gap, max)):
+        with pytest.raises(ValueError) as want:
+            builtin([])
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError) as got:
+                kernel(empty)
+            assert str(got.value) == str(want.value)
+
+
+def test_the_kernel_takes_a_float_or_decimal_at_its_exact_value():
+    # rat() rejects both, but the kernel reads any as_integer_ratio()
+    for inexact in (0.1, Decimal("0.1")):
+        exact = F(inexact)
+        pairs = [(inexact, F(1, 3)), (F(1, 2), F(1, 2))]
+        assert min_sum(pairs) == exact + F(1, 3)
+        assert max_gap(pairs) == F(1, 3) - exact
+        assert all(type(end) is F for end in (min_sum(pairs),
+                                              max_gap(pairs)))
+    space = FiniteMetricSpace(("a", "b", "c"),
+                              ((0, 0.1, 1), (0.1, 0, 1), (1, 1, 0)))
+    assert _katetov_fill(space, {0: F(1, 2)}) == (F(1, 2), F(0.1) + F(1, 2),
+                                                  F(3, 2))
+
+
+# --- each integer comparison at its boundary -------------------------------
+
+U, V, T = F(1, 3), F(2, 7), F(5, 11)
+EPS = F(1, 10 ** 6)
+
+
+def _tight_pair(past=0):
+    """z1, z2 and w collinear in x0, z1, z2 and p in x1, with the new
+    point's interval to the other pinched to lo = hi = V + T; ``past``
+    moves p away from z1 only, so that lo = V + T + past via z1 and
+    hi = V + T via z2.  Merging x0 into x1 or x1 into x0, lo's winning
+    difference g(z1) - d(z1, .) is positive or negative."""
+    x0 = FiniteMetricSpace.from_rows(
+        ("z1", "z2", "w"), ((0, U + V, U), (U + V, 0, V), (U, V, 0)))
+    far = U + V + T + past
+    x1 = FiniteMetricSpace.from_rows(
+        ("z1", "z2", "p"), ((0, U + V, far), (U + V, 0, T), (far, T, 0)))
+    return x0, x1
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_amalgamate_takes_a_pinched_interval_under_every_policy(order):
+    for policy in POLICIES:
+        merged = amalgamate(*_tight_pair()[::order], policy=policy)
+        assert merged.d(merged.index("w"), merged.index("p")) == V + T
+        assert validate_space(merged).ok
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_amalgamate_refuses_an_interval_just_empty(order):
+    new, old = ("p", "w")[::order]
+    for policy in POLICIES:
+        with pytest.raises(PreconditionError) as err:
+            amalgamate(*_tight_pair(EPS)[::order], policy=policy)
+        assert str(err.value) == (
+            f"no distance from new point {new!r} to {old!r}: lower bound "
+            f"{V + T + EPS} via 'z1' exceeds upper bound {V + T} via 'z2'; "
+            f"an input is not metric")
+
+
+@pytest.mark.parametrize("ga, gb", [(U, U + V), (U + V, U)])
+def test_katetov_violations_at_the_difference_boundary(ga, gb):
+    # |g(a) - g(b)| = d exactly, either way round, then 10^-6 past it
+    space = _pair("a", "b", V)
+    assert katetov_violations(space, {0: ga, 1: gb}) == []
+    ga, gb = (ga, gb + EPS) if gb > ga else (ga + EPS, gb)
+    assert katetov_violations(space, {0: ga, 1: gb}) == [
+        (0, 1, f"|{ga} - {gb}| > d = {V}")]
+
+
+@pytest.mark.parametrize("ga, gb", [(F(1, 9), V - F(1, 9)),
+                                    (V - F(1, 9), F(1, 9))])
+def test_katetov_violations_at_the_sum_boundary(ga, gb):
+    # d = g(a) + g(b) exactly, then d 10^-6 past the sum
+    space = _pair("a", "b", V)
+    assert katetov_violations(space, {0: ga, 1: gb}) == []
+    gb -= EPS
+    assert katetov_violations(space, {0: ga, 1: gb}) == [
+        (0, 1, f"d = {V} > {ga} + {gb}")]

@@ -2,6 +2,7 @@
 explicit constructions built on it."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,8 @@ from urylab.core import GoodnessReport
 from urylab.gen import (random_compliant_instance, random_outside_points,
                         random_point_in_ball)
 from oracle_utils import (assert_condition_g, assert_pairwise_bounds,
-                          center_first_pairs, feasible_e, glue_reference)
+                          center_first_pairs, feasible_e, glue_reference,
+                          new_pair_compliant)
 
 
 def radical_interval_oracle(K, N):
@@ -489,6 +491,65 @@ def test_extend_dense_preserves_compliance_and_condition_g():
             assert x in f.domain and x in f.images
         assert is_compliant(f, ball, kn, space).ok
         assert validate_space(space).ok
+
+
+def _compliant_or_refused(f, ball, kn, space):
+    """is_compliant's verdict, a refused map (a point on or past the
+    boundary, two points at distance 0) read as not compliant."""
+    try:
+        return is_compliant(f, ball, kn, space).ok
+    except (PreconditionError, DegenerateInputError):
+        return False
+
+
+def _with_copy(space, k):
+    """space plus a point 'dup' at distance 0 from point k."""
+    rows = [row + (row[k],) for row in space.dist]
+    rows.append(space.dist[k] + (F(0),))
+    return FiniteMetricSpace(space.labels + ("dup",), tuple(rows))
+
+
+def test_the_per_step_oracle_agrees_with_is_compliant_on_every_prefix():
+    # criterion 03 checks each step's new pair alone; on every prefix of
+    # seeded runs and of maps broken by hand, folding that check from the
+    # empty map must give is_compliant's verdict
+    rng = random.Random(4242)
+    verdicts = Counter()
+    for _ in range(6):
+        space, f, ball, kn = random_compliant_instance(rng, grow=1)
+        targets = []
+        for _ in range(8):
+            space, x = random_point_in_ball(rng, space, ball)
+            targets.append(x)
+        final, space, _ = extend_dense(f, ball, kn, targets, space)
+        space = _with_copy(random_outside_points(rng, space, ball, 1),
+                           final.domain[-1])
+        pairs = list(final.pairs())
+        i, j = sorted(rng.sample(range(1, len(pairs)), 2))
+        swapped = list(pairs)
+        swapped[i] = (pairs[i][0], pairs[j][1])
+        swapped[j] = (pairs[j][0], pairs[i][1])
+        outside = list(pairs)
+        outside[i] = (pairs[i][0], space.n - 2)
+        maps = {"run": pairs, "two images swapped": swapped,
+                "an image outside the ball": outside,
+                "a domain point doubled": pairs + [(space.n - 1,
+                                                    space.n - 1)]}
+        for radius in (ball.radius, ball.radius * 3 / 4):
+            region = Ball(ball.center, radius)
+            for name, broken in maps.items():
+                ok, current = True, PartialMap((), ())
+                for x, y in broken:
+                    ok = ok and new_pair_compliant(current, x, y, region,
+                                                   kn.K, kn.N, space)
+                    current = current.extended(x, y)
+                    assert ok == _compliant_or_refused(current, region, kn,
+                                                       space), name
+                verdicts[name, ok] += 1
+    # every broken kind is refused somewhere, and the runs pass whole
+    assert verdicts["run", True] >= 6, verdicts
+    for name in maps:
+        assert verdicts[name, False] >= 1, verdicts
 
 
 def test_extend_dense_back_and_forth_order():
