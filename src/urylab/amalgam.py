@@ -161,14 +161,13 @@ def katetov_violations(space: FiniteMetricSpace,
     return out
 
 
-def katetov_extend(space: FiniteMetricSpace,
-                   values: Mapping[int, Rational]) -> tuple[Fraction, ...]:
-    """Extend a one-point prescription from its support to the whole space.
+def checked_prescription(space: FiniteMetricSpace,
+                         values: Mapping[int, Rational]) -> dict[int, Fraction]:
+    """The prescription coerced through ``rat``, once its pair inequalities
+    |g(a) - g(b)| <= d(a,b) <= g(a) + g(b) hold on its own support.
 
-    The given values must satisfy the pair inequalities
-    |g(a) - g(b)| <= d(a,b) <= g(a) + g(b) on their own support; this is
-    checked.  The rest is filled by the shortest-path rule, which keeps every
-    pair inequality valid.  Returns the value at every point, in index order.
+    An empty support or the first violated pair raises
+    ``PreconditionError``.
     """
     if not values:
         raise PreconditionError("empty support")
@@ -179,7 +178,18 @@ def katetov_extend(space: FiniteMetricSpace,
         raise PreconditionError(
             f"not a one-point prescription on ({space.labels[a]!r}, "
             f"{space.labels[b]!r}): {msg}")
-    return _katetov_fill(space, vals)
+    return vals
+
+
+def katetov_extend(space: FiniteMetricSpace,
+                   values: Mapping[int, Rational]) -> tuple[Fraction, ...]:
+    """Extend a one-point prescription from its support to the whole space.
+
+    The prescription is checked by :func:`checked_prescription`.  The rest
+    is filled by the shortest-path rule, which keeps every pair inequality
+    valid.  Returns the value at every point, in index order.
+    """
+    return _katetov_fill(space, checked_prescription(space, values))
 
 
 def _katetov_fill(space: FiniteMetricSpace,

@@ -35,8 +35,11 @@ def rat(value: Rational) -> Fraction:
 class FiniteMetricSpace:
     """A labeled point set with a symmetric exact-rational distance matrix.
 
-    The constructor only checks shape; run :func:`validate_space` to check
-    the metric axioms themselves.
+    The constructor takes its entries as given and checks nothing.
+    :meth:`from_rows` checks the shape and that labels are distinct, and
+    coerces every entry through :func:`rat`; :meth:`with_point` checks and
+    coerces the new row.  Run :func:`validate_space` to check the metric
+    axioms themselves.
     """
 
     labels: tuple[str, ...]
@@ -86,13 +89,18 @@ class FiniteMetricSpace:
 
     def with_point(self, label: str,
                    row: Sequence[Fraction]) -> "FiniteMetricSpace":
-        """Append one point with the given distances to the existing points."""
+        """Append one point with the given distances to the existing points.
+
+        The label must be new and the row must have one entry per point,
+        each coerced through :func:`rat` and positive.
+        """
         if label in self.labels:
             raise StructuralError(f"label {label!r} already present")
         if len(row) != self.n:
             raise StructuralError("distance row has wrong length")
-        row = tuple(rat(v) for v in row)
-        if any(v <= 0 for v in row):
+        row = tuple(map(rat, row))
+        # a Fraction's sign is its numerator's
+        if any(v.numerator <= 0 for v in row):
             raise StructuralError("new point at nonpositive distance")
         dist = tuple(self.dist[i] + (row[i],) for i in range(self.n))
         dist += (row + (Fraction(0),),)

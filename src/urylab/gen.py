@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .amalgam import POLICIES, katetov_extend, realize_point
+from .amalgam import (POLICIES, _katetov_fill, checked_prescription, min_sum,
+                      realize_point)
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
 from .core import FiniteMetricSpace, PartialMap, rat
@@ -71,7 +72,9 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
     """Realize a fresh point strictly inside the ball.
 
     Tries a two-anchor Katetov prescription a few times, then falls back to
-    a collinear point hung off the center, which always lands inside.
+    a collinear point hung off the center, which always lands inside.  A
+    try is decided by the new point's distance to the center alone, so only
+    the accepted try fills a row.
     """
     center, r = ball.center, ball.radius
     for _ in range(3):
@@ -84,10 +87,15 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
         rho_b = rand_fraction(rng, lo, hi)
         if rho_b <= 0:
             continue
-        # rho_b lies in [lo, hi], so the prescription is valid; both values
-        # are positive, so the filled row is too.
-        full = katetov_extend(space, {a: rho_a, b: rho_b})
-        if full[center] < r:
+        # rho_b lies in [lo, hi], so on a metric space the check passes and
+        # the filled row is positive; a non-metric space may fail the check,
+        # or fill an entry that with_point refuses.
+        vals = checked_prescription(space, {a: rho_a, b: rho_b})
+        at_center = (vals[center] if center in vals else
+                     min_sum((g, space.dist[x][center])
+                             for x, g in vals.items()))
+        if at_center < r:
+            full = _katetov_fill(space, vals)
             return space.with_point(space.fresh_label(), full), space.n
     rho = rand_fraction(rng, r / 32, r * Fraction(15, 16))
     if rho <= 0 or rho >= r:

@@ -5,10 +5,14 @@ the solver's interval code), so library and oracle stay two separate routes
 to the same answers.
 """
 
+import random
+from fractions import Fraction
 from fractions import Fraction as F
 
-from urylab.core import ValidationReport, Violation
+from urylab.amalgam import katetov_extend, realize_point
+from urylab.core import Ball, FiniteMetricSpace, ValidationReport, Violation
 from urylab.errors import StructuralError
+from urylab.gen import rand_fraction
 from urylab.moduli import PLFunction, is_modulus
 
 
@@ -363,3 +367,34 @@ def new_pair_compliant(f, x, y, ball, K, N, space):
         if dd == 0 or ee == 0 or ee > K * dd or dd > K * ee:
             return False
     return True
+
+
+# gen.random_point_in_ball before it decided a try at the center: every try
+# fills its whole row, then reads the center's entry.  Kept as it was.
+def random_point_in_ball_reference(rng: random.Random, space: FiniteMetricSpace,
+                                   ball: Ball) -> tuple[FiniteMetricSpace, int]:
+    """Realize a fresh point strictly inside the ball.
+
+    Tries a two-anchor Katetov prescription a few times, then falls back to
+    a collinear point hung off the center, which always lands inside.
+    """
+    center, r = ball.center, ball.radius
+    for _ in range(3):
+        if space.n < 2:
+            break
+        a, b = rng.sample(range(space.n), 2)
+        rho_a = rand_fraction(rng, Fraction(1, 16), r)
+        dab = space.d(a, b)
+        lo, hi = abs(rho_a - dab), rho_a + dab
+        rho_b = rand_fraction(rng, lo, hi)
+        if rho_b <= 0:
+            continue
+        # rho_b lies in [lo, hi], so the prescription is valid; both values
+        # are positive, so the filled row is too.
+        full = katetov_extend(space, {a: rho_a, b: rho_b})
+        if full[center] < r:
+            return space.with_point(space.fresh_label(), full), space.n
+    rho = rand_fraction(rng, r / 32, r * Fraction(15, 16))
+    if rho <= 0 or rho >= r:
+        rho = r / 2
+    return realize_point(space, {center: rho})

@@ -5,6 +5,7 @@ pair its minimal and maximal results are the interval's two ends.
 """
 
 import random
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
@@ -304,12 +305,21 @@ def realize_then_test(rng, space, ball):
 
 
 def test_random_point_in_ball_appends_only_the_accepted_row(monkeypatch):
-    appends = []
+    appends, fills = [], []
     with_point = FiniteMetricSpace.with_point
+    fill = amalgam._katetov_fill
+    # every urylab module that binds the fill by name
+    fill_sites = [m for name, m in sys.modules.items()
+                  if name.startswith("urylab")
+                  and vars(m).get("_katetov_fill") is fill]
 
     def counting(self, label, row):
         appends.append(label)
         return with_point(self, label, row)
+
+    def counting_fill(space, vals):
+        fills.append(vals)
+        return fill(space, vals)
 
     for seed in range(20):
         rng, twin = random.Random(seed), random.Random(seed)
@@ -318,13 +328,17 @@ def test_random_point_in_ball_appends_only_the_accepted_row(monkeypatch):
         # a small ball, so that some two-anchor candidates land outside
         ball = Ball(0, space.diameter() / 3)
         want = realize_then_test(twin, space, ball)
-        monkeypatch.setattr(FiniteMetricSpace, "with_point", counting)
-        appends.clear()
-        got = random_point_in_ball(rng, space, ball)
-        monkeypatch.setattr(FiniteMetricSpace, "with_point", with_point)
+        with monkeypatch.context() as mp:
+            mp.setattr(FiniteMetricSpace, "with_point", counting)
+            for site in fill_sites:
+                mp.setattr(site, "_katetov_fill", counting_fill)
+            appends.clear()
+            fills.clear()
+            got = random_point_in_ball(rng, space, ball)
         assert got == want
         assert rng.getstate() == twin.getstate()
         assert len(appends) == 1
+        assert len(fills) == 1
 
 
 # --- the min-of-sums kernel against the Fraction reference ---------------

@@ -138,6 +138,37 @@ def test_dimension_mismatch_is_structural():
         FiniteMetricSpace.from_rows(("a", "b"), ((0, 1),))
 
 
+# --- with_point's sign test at its boundary ---------------------------------
+
+EPS = F(1, 10 ** 6)
+BIG_DEN = 10 ** 299 + 7  # 300 digits
+one_point = FiniteMetricSpace.from_rows(("a",), ((0,),))
+
+
+@pytest.mark.parametrize("value", [0, F(0), -EPS, F(-1, BIG_DEN)])
+def test_with_point_refuses_a_nonpositive_entry(value):
+    for space, row in ((one_point, (value,)),
+                       (one_point.with_point("b", (1,)), (1, value))):
+        with pytest.raises(StructuralError,
+                           match="^new point at nonpositive distance$"):
+            space.with_point("q", row)
+
+
+@pytest.mark.parametrize("value", [EPS, F(1, BIG_DEN), F(BIG_DEN + 1, BIG_DEN),
+                                   2])
+def test_with_point_takes_a_positive_entry_as_a_fraction(value):
+    grown = one_point.with_point("q", (value,))
+    assert grown.labels == ("a", "q")
+    assert grown.dist == ((0, value), (value, 0))
+    assert all(type(v) is F for row in grown.dist for v in row)
+
+
+@pytest.mark.parametrize("value", [0.5, -0.5, 0.0])
+def test_with_point_rejects_a_float(value):
+    with pytest.raises(TypeError, match=f"^not an exact rational: {value}$"):
+        one_point.with_point("q", (value,))
+
+
 two_point = FiniteMetricSpace.from_rows(
     ("a", "b", "fa", "fb"),
     ((0, 1, 2, 2), (1, 0, 2, 2), (2, 2, 0, F(3, 2)), (2, 2, F(3, 2), 0)))

@@ -2,16 +2,20 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle_utils
 from oracle_utils import (rand_fraction_reference, random_modulus_reference,
-                          random_space_rows)
-from urylab import FiniteMetricSpace, validate_space
+                          random_point_in_ball_reference, random_space_rows)
+from urylab import FiniteMetricSpace, amalgam, validate_space
+from urylab.core import Ball
 from urylab.errors import UnreportableError
 from urylab.gen import (CAMPAIGNS, rand_fraction, random_modulus,
-                        random_space)
+                        random_point_in_ball, random_space)
 
 
 @pytest.mark.parametrize("scale", [4, 1, F(1, 3), F(7, 2)])
@@ -73,6 +77,159 @@ def test_random_modulus_matches_the_fraction_draws(pieces, den, slope_hi):
         assert rng.getstate() == ref_rng.getstate()
     if slope_hi == 0:  # every slope takes rand_fraction's return-lo branch
         assert m.final_slope == F(1, den)
+
+
+# --- random_point_in_ball against the fill-then-test reference -------------
+
+DRAW_KINDS = ("metric", "big", "negative", "triangle")
+EPS = F(1, 10 ** 6)
+
+
+def _draw_case(rng, kind, n):
+    """A space of n points (at least 3 for "triangle") and a ball in it.
+
+    "metric" is a random space; "big" scales it by a factor over a
+    100-300-digit denominator.  "negative" sets one pair to a negative
+    distance; "triangle" sets d(i, k) past d(i, j) + d(j, k).  The center is
+    any point, and the radius runs from an eighth of the center's farthest
+    distance to twice it, so that many tries land outside.
+    """
+    space = random_space(rng, max(n, 3) if kind == "triangle" else n)
+    d = [list(row) for row in space.dist]
+    if kind == "big":
+        digits = rng.randint(100, 300)
+        q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        scale = F(q + rng.randrange(1, q), q)
+        d = [[v * scale for v in row] for row in d]
+    elif kind == "negative":
+        i, j = rng.sample(range(space.n), 2)
+        d[i][j] = d[j][i] = -rand_fraction(rng, F(1, 8), 2, 8)
+    elif kind == "triangle":
+        i, j, k = rng.sample(range(space.n), 3)
+        d[i][k] = d[k][i] = d[i][j] + d[j][k] + rand_fraction(rng, 0, 1, 8)
+    center = rng.randrange(space.n)
+    far = max(abs(v) for v in d[center])
+    ball = Ball(center, far * F(rng.randint(1, 16), 8))
+    return FiniteMetricSpace(space.labels, tuple(map(tuple, d))), ball
+
+
+def _outcome(draw, rng, space, ball):
+    try:
+        return draw(rng, space, ball)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _first_anchors(state, n):
+    """The two anchors a draw from rng state ``state`` tries first."""
+    probe = random.Random()
+    probe.setstate(state)
+    return probe.sample(range(n), 2)
+
+
+def _same_draw(rng, space, ball):
+    """random_point_in_ball from rng's state, which must give the reference's
+    point, or raise its exception with its text, and leave the reference's
+    rng state.  Returns the outcome and how many prescriptions the draw
+    checked: one per two-anchor try, and one for the fallback."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    checks = []
+    violations = amalgam.katetov_violations
+
+    def counting(space, values):
+        checks.append(values)
+        return violations(space, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amalgam, "katetov_violations", counting)
+        got = _outcome(random_point_in_ball, rng, space, ball)
+    assert got == _outcome(random_point_in_ball_reference, twin, space, ball)
+    assert rng.getstate() == twin.getstate()
+    return got, len(checks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+       kind=st.sampled_from(DRAW_KINDS))
+def test_random_point_in_ball_matches_the_reference(seed, n, kind):
+    rng = random.Random(seed)
+    _same_draw(rng, *_draw_case(rng, kind, n))
+
+
+def test_the_draw_reference_reaches_every_branch():
+    rng = random.Random(29)
+    seen = Counter()
+    for k in range(320):
+        kind = DRAW_KINDS[k % len(DRAW_KINDS)]
+        # a broken pair is an anchor more often in a small space
+        n = rng.randint(2, 30 if kind in ("metric", "big") else 8)
+        space, ball = _draw_case(rng, kind, n)
+        first = _first_anchors(rng.getstate(), space.n)
+        got, checks = _same_draw(rng, space, ball)
+        if isinstance(got[0], FiniteMetricSpace):
+            assert got[0].n == space.n + 1
+            seen["rejected" if checks > 1 else "accepted"] += 1
+            seen["center anchor"] += ball.center in first
+        else:
+            assert kind in ("negative", "triangle")
+            seen[got[0].__name__] += 1
+    # a non-metric space raises from the prescription check or from the
+    # appended row
+    for what in ("rejected", "accepted", "center anchor",
+                 "PreconditionError", "StructuralError"):
+        assert seen[what] >= 10, seen
+
+
+def _first_try(space, ball, state, monkeypatch):
+    """The reference's first two-anchor prescription from ``state`` and the
+    center's entry in its filled row."""
+    rows = []
+
+    def recording(space, values):
+        full = katetov_extend(space, values)
+        rows.append((values, full[ball.center]))
+        return full
+
+    katetov_extend = oracle_utils.katetov_extend
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle_utils, "katetov_extend", recording)
+        rng = random.Random()
+        rng.setstate(state)
+        _outcome(random_point_in_ball_reference, rng, space, ball)
+    return rows[0]
+
+
+@pytest.mark.parametrize("anchor", [True, False])
+def test_a_try_at_exactly_the_radius_is_rejected(monkeypatch, anchor):
+    # v is the center's entry of a seeded first try, read through the
+    # reference; radius v rejects that try and v + 10^-6 accepts it
+    found = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        space = random_space(rng, rng.randint(3, 6))
+        center = rng.randrange(space.n)
+        state = rng.getstate()
+        if (center in _first_anchors(state, space.n)) != anchor:
+            continue
+        values, v = _first_try(space, Ball(center, space.diameter() * 2),
+                               state, monkeypatch)
+        balls = Ball(center, v), Ball(center, v + EPS)
+        if any(_first_try(space, b, state, monkeypatch) != (values, v)
+               for b in balls):
+            continue  # the radius moved the first draw
+        checks = []
+        for ball in balls:
+            rng.setstate(state)
+            (grown, x), count = _same_draw(rng, space, ball)
+            checks.append(count)
+        # radius v went on to a later try or the fallback; v + 10^-6
+        # realized the first try
+        assert checks[0] > 1 and checks[1] == 1
+        assert grown.d(center, x) == v
+        assert all(grown.d(x, a) == g for a, g in values.items())
+        found += 1
+    assert found >= 3
 
 
 @pytest.mark.skipif(not sys.get_int_max_str_digits(),
