@@ -192,19 +192,28 @@ def katetov_extend(space: FiniteMetricSpace,
     return _katetov_fill(space, checked_prescription(space, values))
 
 
+def _katetov_value(space: FiniteMetricSpace, vals: Mapping[int, Fraction],
+                   w: int) -> Fraction:
+    """Shortest-path rule at one point: g(w) = min over a of (g(a) + d(a, w)).
+
+    Unchecked: the caller vouches for the pair inequalities on the support,
+    on which the rule gives back the prescribed value.  Each value off the
+    support is one :func:`min_sum`.
+    """
+    if w in vals:
+        return vals[w]
+    dist = space.dist
+    return min_sum((g, dist[a][w]) for a, g in vals.items())
+
+
 def _katetov_fill(space: FiniteMetricSpace,
                   vals: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
-    """Shortest-path rule g(w) = min over a of (g(a) + d(a, w)), unchecked.
+    """:func:`_katetov_value` at every point, in index order.
 
-    The caller vouches for the pair inequalities on the support.  This is
-    the upper end of :func:`amalgamate`'s one-point interval alone, kept
-    apart from it because no caller needs the lower end; each value is one
-    :func:`min_sum`.
+    This is the upper end of :func:`amalgamate`'s one-point interval alone,
+    kept apart from it because no caller needs the lower end.
     """
-    support = [(g, space.dist[a]) for a, g in vals.items()]
-    return tuple(vals[w] if w in vals
-                 else min_sum((g, row[w]) for g, row in support)
-                 for w in range(space.n))
+    return tuple(_katetov_value(space, vals, w) for w in range(space.n))
 
 
 def realize_point(space: FiniteMetricSpace, values: Mapping[int, Rational]

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .amalgam import (POLICIES, _katetov_fill, checked_prescription, min_sum,
-                      realize_point)
+from .amalgam import (POLICIES, _katetov_fill, _katetov_value,
+                      checked_prescription, realize_point)
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
 from .core import FiniteMetricSpace, PartialMap, rat
@@ -91,10 +91,7 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
         # the filled row is positive; a non-metric space may fail the check,
         # or fill an entry that with_point refuses.
         vals = checked_prescription(space, {a: rho_a, b: rho_b})
-        at_center = (vals[center] if center in vals else
-                     min_sum((g, space.dist[x][center])
-                             for x, g in vals.items()))
-        if at_center < r:
+        if _katetov_value(space, vals, center) < r:
             full = _katetov_fill(space, vals)
             return space.with_point(space.fresh_label(), full), space.n
     rho = rand_fraction(rng, r / 32, r * Fraction(15, 16))
