@@ -322,26 +322,35 @@ def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
     Katetov inequalities between two range points are the IE2 bounds, which
     the solver's interval test has already enforced exactly.  Together with
     the certificate of the input map this certifies the extended map.
+
+    The per-pair tests are decided on integers: with K = Kn/Kd, s = sn/sd,
+    e_m = en/ed, d(x, x_m) = dn/dd and d(x, y_m) = mn/md, scaling by the
+    positive denominators turns them into cross-multiplied comparisons.
+    Entries are read at their exact value, whatever their type.
     """
     K, N, r = kn.K, kn.N, ball.radius
-    labels = space.labels
-    d1 = space.d(x, ball.center)
+    (Kn, Kd), (sn, sd) = K.as_integer_ratio(), s.as_integer_ratio()
+    labels, row = space.labels, space.dist[x]
+    d1 = row[ball.center]
     for (xm, ym), em in zip(pairs, e):
-        dm, sm = space.d(x, xm), space.d(x, ym)
-        if dm == 0:
+        dm, sm = row[xm], row[ym]
+        (dn, dd), (mn, md) = dm.as_integer_ratio(), sm.as_integer_ratio()
+        en, ed = em.as_integer_ratio()
+        if dn == 0:
             raise DegenerateInputError(
                 f"domain points {labels[xm]!r}, {labels[x]!r} at distance 0")
-        if em == 0:
+        if en == 0:
             raise DegenerateInputError(
                 f"image points {labels[ym]!r}, "
                 f"{space.fresh_label()!r} at distance 0")
-        if em > K * dm or dm > K * em:
+        if en * dd * Kd > Kn * dn * ed or dn * ed * Kd > Kn * en * dd:
             with as_text():
                 raise PreconditionError(
                     f"new pair breaks the stretch bound against "
                     f"{labels[xm]!r}: d = {dm}, e = {em}, K = {K}")
         # When x already lies in the range this forces e_m = s at y_m = x.
-        if abs(s - em) > sm or sm > s + em:
+        u, v, scaled = sn * ed, en * sd, mn * sd * ed
+        if abs(u - v) * md > scaled or scaled > (u + v) * md:
             with as_text():
                 raise PreconditionError(
                     f"not a one-point prescription on ({labels[ym]!r}, "

@@ -7,7 +7,6 @@ small denominators to keep exact arithmetic quick.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,14 +21,22 @@ from .groupmetric import AutoMap, dist_L, dist_S
 from .moduli import PLFunction, compatible, is_modulus, linear
 
 
+def _grid_ends(lo: Fraction, hi: Fraction, den: int) -> tuple[int, int]:
+    """(ceil(lo*den), floor(hi*den)): the numerators over den in [lo, hi].
+
+    Rounded by integer floor division; the range is empty when b < a.
+    """
+    return (-(-lo.numerator * den // lo.denominator),
+            hi.numerator * den // hi.denominator)
+
+
 def rand_fraction(rng: random.Random, lo, hi, den: int = 16) -> Fraction:
     """Uniform-ish rational in [lo, hi] with denominator dividing den.
 
     Returns lo itself when no multiple of 1/den lies in [lo, hi].
     """
     lo, hi = rat(lo), rat(hi)
-    a = -(-lo.numerator * den // lo.denominator)
-    b = hi.numerator * den // hi.denominator
+    a, b = _grid_ends(lo, hi, den)
     if b < a:
         return lo
     return Fraction(rng.randint(a, b), den)
@@ -48,20 +55,26 @@ def random_space(rng: random.Random, n: int, scale=4,
                  den: int = 8) -> FiniteMetricSpace:
     """Shortest-path closure of a random complete weighted graph.
 
-    The closure runs on ints over q, the lcm of the weights' denominators.
+    Each weight is ``rand_fraction(rng, scale/den, scale, den)``, drawn as
+    its int numerator over q = den.  When no multiple of 1/den lies in that
+    range, every weight is scale/den, as ``rand_fraction`` returns it, with
+    q its denominator, and nothing is drawn.  The closure runs on the ints
+    over q, which commutes with the scaling, and each Fraction is built
+    once at the end.
     """
     scale = rat(scale)
-    d = [[Fraction(0)] * n for _ in range(n)]
+    lo = scale / den
+    a, b = _grid_ends(lo, scale, den)
+    q = den if a <= b else lo.denominator
+    d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = rand_fraction(rng, scale / den, scale, den)
-            d[i][j] = d[j][i] = w
-    q = math.lcm(*(v.denominator for row in d for v in row))
-    d = [[v.numerator * (q // v.denominator) for v in row] for row in d]
+            d[i][j] = d[j][i] = rng.randint(a, b) if a <= b else lo.numerator
     for k in range(n):
         for i in range(n):
-            dik = d[i][k]
-            d[i] = list(map(min, d[i], [dik + x for x in d[k]]))
+            di, dk = d[i], d[k]
+            dik = di[k]
+            d[i] = [x if x <= (c := dik + y) else c for x, y in zip(di, dk)]
     return FiniteMetricSpace.from_rows(
         tuple(f"p{i}" for i in range(n)),
         [[Fraction(v, q) for v in row] for row in d])

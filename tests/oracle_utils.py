@@ -5,13 +5,18 @@ the solver's interval code), so library and oracle stay two separate routes
 to the same answers.
 """
 
+import math
 import random
 from fractions import Fraction
 from fractions import Fraction as F
+from typing import Sequence
 
 from urylab.amalgam import katetov_extend, realize_point
-from urylab.core import Ball, FiniteMetricSpace, ValidationReport, Violation
-from urylab.errors import StructuralError
+from urylab.bilip import KNParams
+from urylab.core import (Ball, FiniteMetricSpace, ValidationReport, Violation,
+                         rat)
+from urylab.errors import (DegenerateInputError, PreconditionError,
+                           StructuralError, as_text)
 from urylab.gen import rand_fraction
 from urylab.moduli import PLFunction, is_modulus
 
@@ -398,3 +403,92 @@ def random_point_in_ball_reference(rng: random.Random, space: FiniteMetricSpace,
     if rho <= 0 or rho >= r:
         rho = r / 2
     return realize_point(space, {center: rho})
+
+
+# gen.rand_fraction and gen.random_space before the closure moved onto the
+# draw grid: the weights are drawn as Fractions, then scaled to ints over q,
+# the lcm of their denominators.  Kept as they were, but for the names.
+def rand_fraction_floor_reference(rng: random.Random, lo, hi,
+                                  den: int = 16) -> Fraction:
+    """Uniform-ish rational in [lo, hi] with denominator dividing den.
+
+    Returns lo itself when no multiple of 1/den lies in [lo, hi].
+    """
+    lo, hi = rat(lo), rat(hi)
+    a = -(-lo.numerator * den // lo.denominator)
+    b = hi.numerator * den // hi.denominator
+    if b < a:
+        return lo
+    return Fraction(rng.randint(a, b), den)
+
+
+def random_space_reference(rng: random.Random, n: int, scale=4,
+                           den: int = 8) -> FiniteMetricSpace:
+    """Shortest-path closure of a random complete weighted graph.
+
+    The closure runs on ints over q, the lcm of the weights' denominators.
+    """
+    scale = rat(scale)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = rand_fraction_floor_reference(rng, scale / den, scale, den)
+            d[i][j] = d[j][i] = w
+    q = math.lcm(*(v.denominator for row in d for v in row))
+    d = [[v.numerator * (q // v.denominator) for v in row] for row in d]
+    for k in range(n):
+        for i in range(n):
+            dik = d[i][k]
+            d[i] = list(map(min, d[i], [dik + x for x in d[k]]))
+    return FiniteMetricSpace.from_rows(
+        tuple(f"p{i}" for i in range(n)),
+        [[Fraction(v, q) for v in row] for row in d])
+
+
+# bilip._certify_new_row before it decided each pair on integers: every
+# test compares Fractions.  Kept as it was, but for the name.
+def certify_new_row_reference(space: FiniteMetricSpace, ball: Ball,
+                              kn: KNParams,
+                              pairs: Sequence[tuple[int, int]], x: int,
+                              e: Sequence[Fraction], s: Fraction) -> None:
+    """Exact O(n) proof that the new pair (x, y) keeps the map compliant.
+
+    y is the point to be realized at distance e_m from y_m and s from x.
+    Checked: the stretch of every new pair, the Katetov inequalities between
+    x and each y_m, goodness of the new pair, and y inside the ball.  The
+    Katetov inequalities between two range points are the IE2 bounds, which
+    the solver's interval test has already enforced exactly.  Together with
+    the certificate of the input map this certifies the extended map.
+    """
+    K, N, r = kn.K, kn.N, ball.radius
+    labels = space.labels
+    d1 = space.d(x, ball.center)
+    for (xm, ym), em in zip(pairs, e):
+        dm, sm = space.d(x, xm), space.d(x, ym)
+        if dm == 0:
+            raise DegenerateInputError(
+                f"domain points {labels[xm]!r}, {labels[x]!r} at distance 0")
+        if em == 0:
+            raise DegenerateInputError(
+                f"image points {labels[ym]!r}, "
+                f"{space.fresh_label()!r} at distance 0")
+        if em > K * dm or dm > K * em:
+            with as_text():
+                raise PreconditionError(
+                    f"new pair breaks the stretch bound against "
+                    f"{labels[xm]!r}: d = {dm}, e = {em}, K = {K}")
+        # When x already lies in the range this forces e_m = s at y_m = x.
+        if abs(s - em) > sm or sm > s + em:
+            with as_text():
+                raise PreconditionError(
+                    f"not a one-point prescription on ({labels[ym]!r}, "
+                    f"{labels[x]!r}): e = {em}, s = {s}, d = {sm}")
+    if N * s > r - d1 or N * s > r - e[0]:
+        with as_text():
+            raise PreconditionError(
+                f"new pair at distance {s} is not {N}-good")
+    if not e[0] < r:
+        with as_text():
+            raise PreconditionError(
+                f"new point at distance {e[0]} from the center leaves the "
+                f"ball")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urylab import (FiniteMetricSpace, PartialMap, PreconditionError,
-                    amalgam, amalgamate, extend_dense, extend_one_point,
+                    amalgam, amalgamate, bilip, extend_dense, extend_one_point,
                     katetov_extend, kn_admissible, realize_point,
                     validate_space)
 from urylab.amalgam import (POLICIES, _katetov_fill, katetov_violations,
@@ -22,8 +22,9 @@ from urylab.amalgam import (POLICIES, _katetov_fill, katetov_violations,
 from urylab.core import Ball
 from urylab.gen import random_point_in_ball, random_space
 from urylab.mc_extend import _prescribe
-from oracle_utils import (interval_ends_reference, katetov_fill_reference,
-                          katetov_violations_reference, prescribe_reference)
+from oracle_utils import (certify_new_row_reference, interval_ends_reference,
+                          katetov_fill_reference, katetov_violations_reference,
+                          prescribe_reference)
 
 
 def _pair(label_a, label_b, d):
@@ -487,6 +488,23 @@ def test_the_kernel_takes_a_float_or_decimal_at_its_exact_value():
                               ((0, 0.1, 1), (0.1, 0, 1), (1, 1, 0)))
     assert _katetov_fill(space, {0: F(1, 2)}) == (F(1, 2), F(0.1) + F(1, 2),
                                                   F(3, 2))
+
+
+def test_the_new_row_certificate_takes_a_float_at_its_exact_value():
+    # d(c, x) = 0.1 as a float.  K * d was a float product, 3 * 0.1 rounded
+    # up past 3 * F(0.1); the pair test now reads the float exactly.
+    space = FiniteMetricSpace(("c", "x"), ((0, 0.1), (0.1, 0)))
+    args = (space, Ball(0, 10), kn_admissible(3, F(9, 2)), [(0, 0)], 1)
+    tie = 3 * F(0.1)
+    assert bilip._certify_new_row(*args, [tie], tie) is None
+    past = tie + F(1, 10 ** 18)
+    assert past < 3 * 0.1
+    assert certify_new_row_reference(*args, [past], past) is None
+    with pytest.raises(PreconditionError) as exc:
+        bilip._certify_new_row(*args, [past], past)
+    assert str(exc.value) == (
+        f"new pair breaks the stretch bound against 'c': d = 0.1, "
+        f"e = {past}, K = 3")
 
 
 # --- each integer comparison at its boundary -------------------------------

@@ -14,13 +14,14 @@ from urylab import (Ball, DegenerateInputError, ExtensionTrace,
                     glue_identity_check, goodness_check, io, is_compliant,
                     kn_admissible, move_point_in_ball, realize_point,
                     segment_transport_bound, validate_space)
+from urylab.amalgam import POLICIES, chooser
 from urylab.cli import verify_trace_lines
 from urylab.core import GoodnessReport
 from urylab.gen import (random_compliant_instance, random_outside_points,
                         random_point_in_ball)
 from oracle_utils import (assert_condition_g, assert_pairwise_bounds,
-                          center_first_pairs, feasible_e, glue_reference,
-                          new_pair_compliant)
+                          center_first_pairs, certify_new_row_reference,
+                          feasible_e, glue_reference, new_pair_compliant)
 
 
 def radical_interval_oracle(K, N):
@@ -348,6 +349,120 @@ def test_step_postcondition_at_each_boundary(r, e, s, message, monkeypatch):
     with pytest.raises(PreconditionError) as exc:
         extend_one_point(f, ball, kn, 1, "domain", space)
     assert str(exc.value) == message and not realized
+
+
+# --- the new row's certificate against its Fraction reference -------------
+
+def _big_scale(rng):
+    """A factor just above 1 over a 100-300-digit denominator."""
+    digits = rng.randint(100, 300)
+    q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    return F(q + rng.randrange(1, q), q)
+
+
+def _scaled(space, lam):
+    return FiniteMetricSpace(space.labels, tuple(
+        tuple(v * lam for v in row) for row in space.dist))
+
+
+def _big_steps(rng, count):
+    """Seeded solved steps (space, ball, kn, pairs, x, e, s) on compliant
+    instances scaled by a factor over a 100-300-digit denominator."""
+    for _ in range(count):
+        space, f, ball, kn = random_compliant_instance(
+            rng, grow=rng.randint(1, 3))
+        lam = _big_scale(rng)
+        space, ball = _scaled(space, lam), Ball(ball.center, ball.radius * lam)
+        space, x = random_point_in_ball(rng, space, ball)
+        work = f if rng.random() < 0.5 else f.inverse()
+        pairs = center_first_pairs(work, ball.center)
+        e, s, _ = bilip._solve_new_distances(
+            space, ball, kn, pairs, x, chooser(rng.choice(POLICIES)))
+        yield space, ball, kn, pairs, x, e, s
+
+
+def _certify_outcome(check, *args):
+    try:
+        return check(*args)
+    except (DegenerateInputError, PreconditionError) as err:
+        return type(err), str(err)
+
+
+def _broken_rows(rng, space, ball, kn, pairs, x, e, s):
+    """(expected type, message start, arguments) for each raise path, made
+    by breaking one solved step at a random pair m."""
+    m = rng.randrange(len(pairs))
+    xm, ym = pairs[m]
+    d1, dm = space.d(x, ball.center), space.d(x, xm)
+    dist = [list(row) for row in space.dist]
+    dist[x][xm] = dist[xm][x] = F(0)
+    zero_d = FiniteMetricSpace(space.labels, tuple(map(tuple, dist)))
+    wrong_e = e[:m] + [F(0)] + e[m + 1:]
+    yield DegenerateInputError, "domain points", (
+        zero_d, ball, kn, pairs, x, e, s)
+    yield DegenerateInputError, "image points", (
+        space, ball, kn, pairs, x, wrong_e, s)
+    wrong_e[m] = kn.K * dm + TINY if rng.random() < 0.5 else dm / kn.K - TINY
+    yield PreconditionError, "new pair breaks the stretch bound", (
+        space, ball, kn, pairs, x, wrong_e, s)
+    wrong_s = e[0] + d1 + TINY
+    yield PreconditionError, "not a one-point prescription", (
+        space, ball, kn, pairs, x, e, wrong_s)
+    small = Ball(ball.center, max(d1, e[0]) + kn.N * s - TINY)
+    yield PreconditionError, f"new pair at distance {s} is not", (
+        space, small, kn, pairs, x, e, s)
+
+
+def test_new_row_certificate_matches_the_fraction_reference():
+    rng = random.Random(2121)
+    steps = list(_big_steps(rng, 12))
+    assert max(len(pairs) for _, _, _, pairs, *_ in steps) >= 3
+    for step in steps:
+        assert max(len(str(v.denominator)) for v in step[5]) >= 100
+        assert bilip._certify_new_row(*step) is None
+        assert certify_new_row_reference(*step) is None
+        for error, start, args in _broken_rows(rng, *step):
+            got = _certify_outcome(bilip._certify_new_row, *args)
+            assert got == _certify_outcome(certify_new_row_reference, *args)
+            assert got[0] is error and got[1].startswith(start), got
+
+
+# Ties of the new row's tests on the worked instance scaled by a factor over
+# a 100-300-digit denominator: each is accepted, and moved by 10**-6 past
+# the tie it is refused with the reference's exact text.
+@pytest.mark.parametrize("r, e, s, move", [
+    (10, F(2), F(3, 2), (TINY, 0)),         # e_1 = K*d_1
+    (10, F(1, 2), F(1), (-TINY, 0)),        # d_1 = K*e_1
+    (10, F(1), F(2), (0, TINY)),            # |s - e_1| = d(x, x1)
+    (10, F(3, 4), F(1, 4), (0, -TINY)),     # d(x, x1) = s + e_1
+    (5, F(3, 4), F(1), (0, TINY)),          # N*s = r - d_1
+    (10, F(5, 4), F(35, 16), (0, TINY)),    # N*s = r - e_1
+], ids=["stretch-K", "shrink-K", "katetov-gap", "katetov-sum", "goodness-x",
+        "goodness-y"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_new_row_certificate_ties_on_big_denominators(r, e, s, move, seed):
+    lam = _big_scale(random.Random(seed))
+    space, _, kn, _ = worked_setup()
+    args = (_scaled(space, lam), Ball(0, r * lam), kn, [(0, 0)], 1)
+    e, s = e * lam, s * lam
+    assert bilip._certify_new_row(*args, [e], s) is None
+    assert certify_new_row_reference(*args, [e], s) is None
+    moved = ([e + move[0]], s + move[1])
+    got = _certify_outcome(bilip._certify_new_row, *args, *moved)
+    assert got == _certify_outcome(certify_new_row_reference, *args, *moved)
+    assert got[0] is PreconditionError
+
+
+def test_new_row_certificate_ball_edge_matches_the_reference():
+    # s = 0 and e_1 = r = d(x, x1): every pair test and goodness hold, and
+    # only the ball test refuses
+    lam = _big_scale(random.Random(3))
+    space, _, kn, _ = worked_setup()
+    args = (_scaled(space, lam), Ball(0, lam), kn, [(0, 0)], 1, [lam], F(0))
+    got = _certify_outcome(bilip._certify_new_row, *args)
+    assert got == _certify_outcome(certify_new_row_reference, *args)
+    assert got == (PreconditionError, f"new point at distance {lam} from "
+                                      f"the center leaves the ball")
 
 
 def _goodness_edge(gap, forward):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_utils
 from oracle_utils import (rand_fraction_reference, random_modulus_reference,
-                          random_point_in_ball_reference, random_space_rows)
+                          random_point_in_ball_reference, random_space_reference,
+                          random_space_rows)
 from urylab import FiniteMetricSpace, amalgam, validate_space
 from urylab.core import Ball
 from urylab.errors import UnreportableError
@@ -33,6 +34,45 @@ def test_random_space_matches_the_fraction_closure(scale, den):
             assert validate_space(space).ok
     if den == 1 and scale == F(1, 3):  # every draw takes the return-lo branch
         assert space.d(0, 1) == F(1, 3)
+
+
+def _assert_same_space(seed, n, scale, den):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    space = random_space(rng, n, scale=scale, den=den)
+    ref = random_space_reference(ref_rng, n, scale=scale, den=den)
+    assert space.labels == ref.labels
+    assert space.dist == ref.dist
+    assert ([[str(v) for v in row] for row in space.dist]
+            == [[str(v) for v in row] for row in ref.dist])
+    assert rng.getstate() == ref_rng.getstate()
+    return space
+
+
+@pytest.mark.parametrize("scale", [F(1, 3), 1, 4, 20])
+@pytest.mark.parametrize("den", [1, 2, 3, 8, 16, 1000])
+def test_random_space_matches_the_lcm_closure(scale, den):
+    for n in (*range(8), 13, 21, 34, 45):
+        _assert_same_space(n, n, scale, den)
+
+
+def test_random_space_draws_nothing_when_the_grid_is_empty():
+    # no multiple of 1/8 lies in [1/128, 1/16]: every weight is 1/128
+    for n in (0, 1, 2, 7, 30):
+        space = _assert_same_space(n, n, F(1, 16), 8)
+        assert all(v == F(1, 128) for i, row in enumerate(space.dist)
+                   for j, v in enumerate(row) if i != j)
+    rng = random.Random(5)
+    state = rng.getstate()
+    random_space(rng, 30, scale=F(1, 16), den=8)
+    assert rng.getstate() == state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 45),
+       scale=st.fractions(F(1, 64), 64, max_denominator=64),
+       den=st.sampled_from([1, 2, 3, 8, 16, 1000]))
+def test_random_space_matches_the_lcm_closure_property(seed, n, scale, den):
+    _assert_same_space(seed, n, scale, den)
 
 
 def bound_cases(rng):

@@ -29,14 +29,14 @@ CRITERION_03 = "tests/test_acceptance.py::test_criterion_03_compliance_preservat
 MUTANTS = {
     # exact checks of the extension, certification and moduli layers
     "stretch_K": (
-        "bilip.py", "if em > K * dm or dm > K * em:",
-        "if em > K * dm * 1001 / 1000 or dm > K * em:"),
+        "bilip.py", "if en * dd * Kd > Kn * dn * ed or",
+        "if en * dd * Kd * 1000 > Kn * dn * ed * 1001 or"),
     "new_pair_goodness": (
         "bilip.py", "if N * s > r - d1 or N * s > r - e[0]:",
         "if N * s > r - d1 + r / 1000 or N * s > r - e[0] + r / 1000:"),
     "x_row_katetov": (
-        "bilip.py", "if abs(s - em) > sm or sm > s + em:",
-        "if abs(s - em) > sm * 1001 / 1000 or sm > s + em:"),
+        "bilip.py", "if abs(u - v) * md > scaled or",
+        "if abs(u - v) * md * 1000 > scaled * 1001 or"),
     "ball_edge": (
         "bilip.py", "if not e[0] < r:", "if not e[0] < r - r / 1000:"),
     "IE4_upper_cap": (
@@ -101,6 +101,14 @@ MUTANTS = {
     "no_try_check": (
         "gen.py", "vals = checked_prescription(space, {a: rho_a, b: rho_b})",
         "vals = {a: rho_a, b: rho_b}"),
+    # the new row's integer pair tests, and random_space's closure
+    "x_row_no_abs": (
+        "bilip.py", "if abs(u - v) * md > scaled or",
+        "if (u - v) * md > scaled or"),
+    "stretch_cross": (
+        "bilip.py", "Kn * dn * ed or", "Kn * dn * dd or"),
+    "closure_pivots": (
+        "gen.py", "for k in range(n):", "for k in range(n - 1):"),
 }
 
 
