@@ -64,7 +64,7 @@ def _load_extension(args):
     return space, fmap, ball, kn, targets
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[str, int]:
     space = _load_space(args.space)
     report = validate_space(space)
     lines = [f"space {space.n} points"]
@@ -73,11 +73,10 @@ def cmd_validate(args) -> int:
         lines.append(f"violation {v.kind} {pts} : {v.detail}")
     lines.append("valid" if report.ok else
                  f"invalid ({len(report.violations)} violations)")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.ok else 1
+    return "\n".join(lines) + "\n", 0 if report.ok else 1
 
 
-def cmd_amalgamate(args) -> int:
+def cmd_amalgamate(args) -> tuple[str, int]:
     x0 = _load_space(args.space0)
     x1 = _load_space(args.space1)
     merged = amalgamate(x0, x1, policy=args.policy)
@@ -85,11 +84,10 @@ def cmd_amalgamate(args) -> int:
     with as_text():
         report = (f"# amalgam over {shared} shared points, "
                   f"policy={args.policy}\n" + io.format_space(merged))
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def cmd_extend_bilip(args) -> int:
+def cmd_extend_bilip(args) -> tuple[str, int]:
     space, fmap, ball, kn, targets = _load_extension(args)
     fmap, space, trace = extend_dense(fmap, ball, kn, targets, space,
                                       policy=args.policy)
@@ -100,19 +98,17 @@ def cmd_extend_bilip(args) -> int:
                   + io.format_trace(trace)
                   + f"# final map: {len(fmap)} pairs, lip={cert.lip_value}, "
                     f"compliant={str(cert.ok).lower()}\n")
-    _emit(report, args.out)
-    return 0 if cert.ok else 1
+    return report, 0 if cert.ok else 1
 
 
-def cmd_verify_trace(args) -> int:
+def cmd_verify_trace(args) -> tuple[str, int]:
     space, fmap, ball, kn, targets = _load_extension(args)
     lines = io.parse_trace(_read(args.trace))
     ok, message = verify_trace_lines(space, fmap, ball, kn, targets, lines)
-    _emit(("ok: " if ok else "FAIL: ") + message + "\n", args.out)
-    return 0 if ok else 1
+    return ("ok: " if ok else "FAIL: ") + message + "\n", 0 if ok else 1
 
 
-def cmd_extend_mc(args) -> int:
+def cmd_extend_mc(args) -> tuple[str, int]:
     dom = _load_space(args.space_x)
     rng_space = _load_space(args.space_y)
     fmap = io.parse_map(_read(args.map), dom, rng_space)
@@ -130,11 +126,10 @@ def cmd_extend_mc(args) -> int:
                          f"{ext.rng_space.d(ext.q, y)}")
     pairs = len(ext.map) * (len(ext.map) - 1) // 2
     lines.append(f"bicontinuous exact pairs={pairs}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> tuple[str, int]:
     alpha = io.parse_modulus(_read(args.alpha))
     beta = io.parse_modulus(_read(args.beta))
     bundle = necessity_counterexample(alpha, beta,
@@ -148,11 +143,10 @@ def cmd_counterexample(args) -> int:
                   + f"certificate: alpha_inv(s+t)={cert.lhs} > "
                     f"beta(t)+alpha_inv(s)={cert.rhs} -> no image point can "
                     f"satisfy both bounds\n")
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[str, int]:
     gamma = io.parse_modulus(_read(args.gamma))
     gens = tuple(io.parse_modulus(_read(p)) for p in args.delta)
     witness = separation_witness(gamma, MCSemigroup(gens), args.depth)
@@ -165,8 +159,7 @@ def cmd_witness(args) -> int:
                          f"exceeds={str(c.ok).lower()}")
     lines.append(f"bicontinuity(2*gamma) ok={str(cert.bicontinuity_ok).lower()} "
                  f"pairs={cert.pairs_checked}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if cert.ok else 1
+    return "\n".join(lines) + "\n", 0 if cert.ok else 1
 
 
 def _as_automap(pm: PartialMap, space: FiniteMetricSpace,
@@ -180,7 +173,7 @@ def _as_automap(pm: PartialMap, space: FiniteMetricSpace,
     return AutoMap(space, tuple(images), base)
 
 
-def cmd_group_dist(args) -> int:
+def cmd_group_dist(args) -> tuple[str, int]:
     if args.depth < 0:
         raise PreconditionError("depth must be nonnegative")
     if args.depth > RADIUS_BOUND:
@@ -198,18 +191,15 @@ def cmd_group_dist(args) -> int:
                  f"zero {str(hat.is_zero()).lower()}",
                  f"display {shown:.6f}"]
         lines += [f"d{n} {d}" for n, d in enumerate(balls, start=1)]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> tuple[str, int]:
     if args.count < 0:
         raise PreconditionError("count must be nonnegative")
-    lines = gen.CAMPAIGNS[args.suite](args.seed, args.count)
-    ok = not any("ok=false" in line for line in lines)
+    lines, ok = gen.campaign(args.suite, args.seed, args.count)
     lines.append("all passed" if ok else "FAILURE")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    return "\n".join(lines) + "\n", 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        _emit(report, args.out)
+        return code
     except (ParseError, StructuralError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 3

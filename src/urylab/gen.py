@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .amalgam import (POLICIES, _katetov_fill, _katetov_value,
+from .amalgam import (POLICIES, _katetov_fill, _katetov_value, amalgamate,
                       checked_prescription, realize_point)
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
-from .core import FiniteMetricSpace, PartialMap, rat
+from .core import FiniteMetricSpace, PartialMap, rat, validate_space
 from .errors import PreconditionError, as_text
 from .groupmetric import AutoMap, dist_L, dist_S
+from .mc_extend import extend_one_point_mc
 from .moduli import PLFunction, compatible, is_modulus, linear
 
 
@@ -60,9 +61,14 @@ def random_space(rng: random.Random, n: int, scale=4,
     range, every weight is scale/den, as ``rand_fraction`` returns it, with
     q its denominator, and nothing is drawn.  The closure runs on the ints
     over q, which commutes with the scaling, and each Fraction is built
-    once at the end.
+    once at the end.  A scale <= 0 or den < 1 raises PreconditionError
+    before any draw.
     """
     scale = rat(scale)
+    if scale <= 0:
+        raise PreconditionError(f"scale must be positive, got {scale}")
+    if den < 1:
+        raise PreconditionError(f"den must be at least 1, got {den}")
     lo = scale / den
     a, b = _grid_ends(lo, scale, den)
     q = den if a <= b else lo.denominator
@@ -108,8 +114,6 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
             full = _katetov_fill(space, vals)
             return space.with_point(space.fresh_label(), full), space.n
     rho = rand_fraction(rng, r / 32, r * Fraction(15, 16))
-    if rho <= 0 or rho >= r:
-        rho = r / 2
     return realize_point(space, {center: rho})
 
 
@@ -238,13 +242,8 @@ def random_bicontinuous_instance(rng: random.Random, n: int = 4
 
 # --- deterministic campaigns (used by the CLI fuzz subcommand) -------------
 
-def campaign_amalgam(seed: int, count: int) -> list[str]:
-    from .amalgam import amalgamate
-    from .core import validate_space
-    with as_text():
-        out = [f"suite=amalgam seed={seed} count={count}"]
-    rng = random.Random(seed)
-    for i in range(count):
+def _amalgam_cases(rng: random.Random) -> Iterator[tuple[str, bool]]:
+    while True:
         space = random_space(rng, rng.randint(3, 6))
         ball = Ball(0, space.diameter() + 1)
         space, _ = random_point_in_ball(rng, space, ball)
@@ -252,68 +251,60 @@ def campaign_amalgam(seed: int, count: int) -> list[str]:
         other = FiniteMetricSpace(
             (space.labels[0],) + tuple(f"m{j}" for j in range(1, other.n)),
             other.dist)
-        merged = amalgamate(space, other,
-                            policy=rng.choice(("minimal", "midpoint",
-                                               "maximal")))
-        ok = validate_space(merged).ok
-        out.append(f"i={i} merged={merged.n} ok={str(ok).lower()}")
-        if not ok:
-            break
-    return out
+        policy = rng.choice(("minimal", "midpoint", "maximal"))
+        merged = amalgamate(space, other, policy=policy)
+        yield f"merged={merged.n}", validate_space(merged).ok
 
 
-def campaign_bilip(seed: int, count: int) -> list[str]:
-    with as_text():
-        out = [f"suite=bilip seed={seed} count={count}"]
-    rng = random.Random(seed)
-    for i in range(count):
+def _bilip_cases(rng: random.Random) -> Iterator[tuple[str, bool]]:
+    while True:
         space, f, ball, kn = random_compliant_instance(rng, grow=3)
         cert = is_compliant(f, ball, kn, space)
         with as_text():
-            out.append(f"i={i} pairs={len(f)} lip={cert.lip_value} "
-                       f"ok={str(cert.ok).lower()}")
-        if not cert.ok:
-            break
-    return out
+            text = f"pairs={len(f)} lip={cert.lip_value}"
+        yield text, cert.ok
 
 
-def campaign_mc(seed: int, count: int) -> list[str]:
-    from .mc_extend import extend_one_point_mc
-    with as_text():
-        out = [f"suite=mc seed={seed} count={count}"]
-    rng = random.Random(seed)
-    for i in range(count):
+def _mc_cases(rng: random.Random) -> Iterator[tuple[str, bool]]:
+    while True:
         alpha, beta, f, dom, rng_space = random_bicontinuous_instance(rng)
         ball = Ball(0, dom.diameter() + 1)
         dom, p = random_point_in_ball(rng, dom, ball)
         ext = extend_one_point_mc(f, dom, rng_space, alpha, beta, p)
-        out.append(f"i={i} q={ext.rng_space.labels[ext.q]} ok=true")
-    return out
+        yield f"q={ext.rng_space.labels[ext.q]}", True
 
 
-def campaign_group(seed: int, count: int) -> list[str]:
-    with as_text():
-        out = [f"suite=group seed={seed} count={count}"]
-    rng = random.Random(seed)
+def _group_cases(rng: random.Random) -> Iterator[tuple[str, bool]]:
     space = random_space(rng, 8)
-    for i in range(count):
-        f = random_permutation_map(rng, space)
-        g = random_permutation_map(rng, space)
-        h = random_permutation_map(rng, space)
+    while True:
+        f, g, h = (random_permutation_map(rng, space) for _ in range(3))
         lhs = dist_S(f, h)
-        rhs = dist_S(f, g) + dist_S(g, h)
-        li = dist_L(h.compose(f), h.compose(g)) == dist_L(f, g)
-        ok = lhs <= rhs and li
+        triangle = lhs <= dist_S(f, g) + dist_S(g, h)
+        invariant = dist_L(h.compose(f), h.compose(g)) == dist_L(f, g)
         with as_text():
-            out.append(f"i={i} dS={lhs} ok={str(ok).lower()}")
-        if not ok:
-            break
-    return out
+            text = f"dS={lhs}"
+        yield text, triangle and invariant
 
 
+# suite -> its cases: (text, ok) per case from the seeded rng, without end
 CAMPAIGNS = {
-    "amalgam": campaign_amalgam,
-    "bilip": campaign_bilip,
-    "mc": campaign_mc,
-    "group": campaign_group,
+    "amalgam": _amalgam_cases,
+    "bilip": _bilip_cases,
+    "mc": _mc_cases,
+    "group": _group_cases,
 }
+
+
+def campaign(suite: str, seed: int, count: int) -> tuple[list[str], bool]:
+    """A header, one ``i=<k> ... ok=<bool>`` line per case, and the verdict.
+
+    Cases are drawn until ``count`` or the first failing case, not past it.
+    """
+    with as_text():
+        lines = [f"suite={suite} seed={seed} count={count}"]
+    cases = CAMPAIGNS[suite](random.Random(seed))
+    for i, (text, ok) in zip(range(count), cases):
+        lines.append(f"i={i} {text} ok={str(ok).lower()}")
+        if not ok:
+            return lines, False
+    return lines, True

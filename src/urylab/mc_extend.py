@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .amalgam import min_sum, realize_point
+from .amalgam import max_gap, min_sum, realize_point
 from .core import FiniteMetricSpace, PartialMap, Rational, rat
 from .errors import PreconditionError, as_text
 from .moduli import MCSemigroup, PLFunction, require_modulus, star_condition
@@ -299,8 +299,8 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
         values = _prescribe(net_map, rng_space, caps)
         gap = gap_bound = None
         if q_prev is not None:
-            gap = max(abs(values[y] - rng_space.d(y, q_prev))
-                      for y in net_map.images)
+            gap = max_gap((values[y], rng_space.d(y, q_prev))
+                          for y in net_map.images)
             gap_bound = Fraction(2) ** (2 - n)
             assert gap < gap_bound
             values[q_prev] = gap

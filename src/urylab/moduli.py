@@ -50,12 +50,10 @@ class PLFunction:
 
     @cached_property
     def _slopes(self) -> tuple[Fraction, ...]:
-        out = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1)
-               in zip(self.breakpoints, self.breakpoints[1:])]
-        out.append(self.final_slope)
-        return tuple(out)
+        return tuple(Fraction(p, q) for p, q in self._slope_pairs)
 
-    def _slope_pairs(self) -> list[tuple[int, int]]:
+    @cached_property
+    def _slope_pairs(self) -> tuple[tuple[int, int], ...]:
         """Each piece's slope as an unreduced integer pair (p, q), tail last.
 
         Piece k's pair is (v1 - v0) * t0d * t1d over (t1 - t0) * v0d * v1d,
@@ -70,13 +68,13 @@ class PLFunction:
                for ((tn0, td0), (vn0, vd0)), ((tn1, td1), (vn1, vd1))
                in zip(pts, pts[1:])]
         out.append(self.final_slope.as_integer_ratio())
-        return out
+        return tuple(out)
 
     @cached_property
     def _modulus_report(self) -> tuple[str, ...]:
         """The report of :func:`modulus_validate`; a frozen object keeps it.
 
-        Decided on the integer slope pairs of :meth:`_slope_pairs`; a
+        Decided on the integer slope pairs of :attr:`_slope_pairs`; a
         Fraction is built only to name a failing slope.
         """
         out = []
@@ -84,7 +82,7 @@ class PLFunction:
         if (t0, v0) != (0, 0):
             with as_text():
                 out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
-        slopes = self._slope_pairs()
+        slopes = self._slope_pairs
         # the values strictly increase exactly when every finite piece rises
         if any(p <= 0 for p, _ in slopes[:-1]):
             out.append("values are not strictly increasing")
@@ -179,7 +177,7 @@ class PLFunction:
 
     @cached_property
     def _inverse(self) -> "PLFunction":
-        if any(p <= 0 for p, _ in self._slope_pairs()):
+        if any(p <= 0 for p, _ in self._slope_pairs):
             raise PreconditionError("only strictly increasing PL maps invert")
         return PLFunction(tuple((v, t) for t, v in self.breakpoints),
                           1 / self.final_slope)

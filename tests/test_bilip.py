@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urylab import (Ball, DegenerateInputError, ExtensionTrace,
-                    FiniteMetricSpace, PartialMap, PreconditionError,
+                    FiniteMetricSpace, InfeasibleError, PartialMap,
+                    PreconditionError,
                     affine_constants, bilip, extend_dense, extend_one_point,
                     glue_identity_check, goodness_check, io, is_compliant,
                     kn_admissible, move_point_in_ball, realize_point,
@@ -293,6 +294,20 @@ def test_step_postcondition_rejects_broken_solve(e, s, error, monkeypatch):
     space, ball, kn, f = worked_setup()
     with pytest.raises(error):
         extend_one_point(f, ball, kn, 1, "domain", space)
+    assert not realized
+
+
+def test_an_empty_interval_names_both_families(monkeypatch):
+    # IE3 raises the lower end to 2 and IE5 caps the upper end at 1
+    realized = []
+    monkeypatch.setattr(bilip, "_bounds", lambda ctx, m: [
+        ("IE1", F(0), F(3)), ("IE3", F(2), F(3)), ("IE5", F(0), F(1))])
+    monkeypatch.setattr(FiniteMetricSpace, "with_point",
+                        lambda *args, **kw: realized.append(args))
+    space, ball, kn, f = worked_setup()
+    with pytest.raises(InfeasibleError) as exc:
+        extend_one_point(f, ball, kn, 1, "domain", space)
+    assert str(exc.value) == "empty interval for e_1: IE3 gives 2 > 1 from IE5"
     assert not realized
 
 

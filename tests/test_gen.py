@@ -14,8 +14,8 @@ from oracle_utils import (rand_fraction_reference, random_modulus_reference,
                           random_space_rows)
 from urylab import FiniteMetricSpace, amalgam, validate_space
 from urylab.core import Ball
-from urylab.errors import UnreportableError
-from urylab.gen import (CAMPAIGNS, rand_fraction, random_modulus,
+from urylab.errors import PreconditionError, UnreportableError
+from urylab.gen import (CAMPAIGNS, campaign, rand_fraction, random_modulus,
                         random_point_in_ball, random_space)
 
 
@@ -34,6 +34,22 @@ def test_random_space_matches_the_fraction_closure(scale, den):
             assert validate_space(space).ok
     if den == 1 and scale == F(1, 3):  # every draw takes the return-lo branch
         assert space.d(0, 1) == F(1, 3)
+
+
+@pytest.mark.parametrize("kw, text", [
+    ({"scale": -1}, "scale must be positive, got -1"),
+    ({"scale": F(-1, 3)}, "scale must be positive, got -1/3"),
+    ({"scale": 0}, "scale must be positive, got 0"),
+    ({"den": 0}, "den must be at least 1, got 0"),
+    ({"den": -8}, "den must be at least 1, got -8"),
+], ids=["negative", "negative-fraction", "zero", "den-zero", "den-negative"])
+def test_random_space_refuses_a_bad_scale_before_any_draw(kw, text):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(PreconditionError) as exc:
+        random_space(rng, 3, **kw)
+    assert str(exc.value) == text
+    assert rng.getstate() == state
 
 
 def _assert_same_space(seed, n, scale, den):
@@ -278,4 +294,4 @@ def test_a_try_at_exactly_the_radius_is_rejected(monkeypatch, anchor):
 def test_a_campaign_seed_past_the_digit_limit_is_unreportable(suite):
     seed = 10 ** (sys.get_int_max_str_digits() + 1)
     with pytest.raises(UnreportableError, match="^Exceeds the limit"):
-        CAMPAIGNS[suite](seed, 0)
+        campaign(suite, seed, 0)

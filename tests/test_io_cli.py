@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from urylab import bilip, cli, io
+from urylab import bilip, cli, gen, io
 from urylab.amalgam import POLICIES
 from urylab.bilip import Ball, extend_dense, kn_admissible
 from urylab.cli import main, verify_trace_lines
@@ -353,6 +353,39 @@ def test_cli_fuzz_deterministic(tmp_path, capsys):
                    "--seed", "12") == 0
     second = capsys.readouterr().out
     assert first == second and "all passed" in first
+
+
+def suite_of(oks, drawn):
+    """Fake cases ``k=<k>`` with the verdicts ``oks``, logging each draw."""
+    def cases(rng):
+        for k, ok in enumerate(oks):
+            drawn.append(k)
+            yield f"k={k}", ok
+    return cases
+
+
+def test_cli_fuzz_stops_at_the_first_failing_case(tmp_path, capsys,
+                                                  monkeypatch):
+    drawn = []
+    monkeypatch.setitem(gen.CAMPAIGNS, "group",
+                        suite_of([True, False, True, False], drawn))
+    out = tmp_path / "report.txt"
+    assert run_cli(tmp_path, "fuzz", "--suite", "group", "--count", "4",
+                   "--seed", "5", "--out", out) == 1
+    report = ("suite=group seed=5 count=4\n"
+              "i=0 k=0 ok=true\ni=1 k=1 ok=false\nFAILURE\n")
+    assert capsys.readouterr().out == report
+    assert out.read_text() == report
+    assert drawn == [0, 1]
+
+
+def test_campaign_draws_no_case_past_its_count(monkeypatch):
+    drawn = []
+    monkeypatch.setitem(gen.CAMPAIGNS, "group", suite_of([True] * 4, drawn))
+    assert gen.campaign("group", 5, 2) == (
+        ["suite=group seed=5 count=2", "i=0 k=0 ok=true", "i=1 k=1 ok=true"],
+        True)
+    assert drawn == [0, 1]
 
 
 def test_cli_fuzz_negative_count_exits_2(tmp_path, capsys):

@@ -61,6 +61,8 @@ def test_incompatible_pair_rejected():
 @pytest.mark.parametrize("alpha, beta, f, text", [
     (KINKED, linear(1), PartialMap((0, 1), (0, 1)), "moduli fail"),
     (linear(1), linear(1), PartialMap((), ()), "empty map"),
+    (linear(1), linear(1), PartialMap((0, 2), (0, 1)),
+     "new point already in the domain"),
 ])
 def test_both_extensions_reject_an_input_with_one_text(alpha, beta, f, text):
     X = FiniteMetricSpace.from_rows(
@@ -197,6 +199,21 @@ def test_necessity_scaled_instance():
     assert (cert.lhs, cert.rhs) == (7, 5) and cert.ok
 
 
+@pytest.mark.parametrize("alpha, s, t, text", [
+    (KINKED, 0, 1, "need s, t > 0"),
+    (KINKED, 1, 0, "need s, t > 0"),
+    (KINKED, F(-1, 2), 1, "need s, t > 0"),
+    (KINKED, 1, -1, "need s, t > 0"),
+    # alpha_inv has slope 2 near 0, beta = identity only 1
+    (linear(F(1, 2)), 1, 1, "alpha_inv exceeds beta near 0; no bicontinuous "
+                            "map exists at any scale for this pair"),
+])
+def test_necessity_rejects_its_preconditions(alpha, s, t, text):
+    with pytest.raises(PreconditionError) as exc:
+        necessity_counterexample(alpha, linear(1), s, t)
+    assert str(exc.value) == text
+
+
 def test_necessity_requires_a_failure():
     with pytest.raises(PreconditionError):
         necessity_counterexample(linear(1), linear(1), 1, 1)
@@ -283,6 +300,27 @@ def test_net_refinement_eps_bound_checked():
         extend_totally_bounded(f, X, Y, linear(2), linear(2), 16, nets, eps)
 
 
+# Each edit of the default setup breaks one check of the nets; level 0 is
+# nets[0] = (0, 1, 2) and level 1 is nets[1] = (0, 1, 2, 3).
+@pytest.mark.parametrize("edit, text", [
+    (lambda nets, eps: (nets, eps[:-1]), "need one epsilon per net"),
+    (lambda nets, eps: ([], []), "need one epsilon per net"),
+    (lambda nets, eps: ([()] + nets[1:], eps), "net 0 is empty"),
+    (lambda nets, eps: ([(0, 1, 1, 2)] + nets[1:], eps),
+     "net 0 lists a point twice"),
+    (lambda nets, eps: ([(0, 1, 2, 16)] + nets[1:], eps),
+     "net 0 is not a subset of the domain"),
+    (lambda nets, eps: (nets[:1] + [(1, 2, 3)] + nets[2:], eps),
+     "net 1 does not refine net 0"),
+], ids=["eps-count", "no-nets", "empty", "repeated", "outside", "refine"])
+def test_net_refinement_rejects_a_bad_net(edit, text):
+    X, Y, f, nets, eps = convergent_sequence_setup()
+    nets, eps = edit(nets, eps)
+    with pytest.raises(PreconditionError) as exc:
+        extend_totally_bounded(f, X, Y, linear(2), linear(2), 16, nets, eps)
+    assert str(exc.value) == text
+
+
 @pytest.mark.skipif(not sys.get_int_max_str_digits(),
                     reason="int() digit limit is disabled")
 def test_net_refinement_texts_past_the_digit_limit_are_unreportable():
@@ -324,6 +362,17 @@ def test_separation_witness_depth_zero():
     w = separation_witness(GAMMA, delta, 0)
     assert w.certificate.ok and not w.certificate.scale_checks
     assert len(w.map) == 1
+
+
+@pytest.mark.parametrize("delta, depth, text", [
+    (MCSemigroup((linear(1),)), 2,
+     "invalid generating set: no generator dominates the doubling map"),
+    (MCSemigroup((linear(2),)), -1, "depth must be nonnegative"),
+], ids=["generators", "depth"])
+def test_separation_witness_rejects_its_preconditions(delta, depth, text):
+    with pytest.raises(PreconditionError) as exc:
+        separation_witness(GAMMA, delta, depth)
+    assert str(exc.value) == text
 
 
 def test_separation_witness_dominated_rejected():

@@ -109,6 +109,11 @@ MUTANTS = {
         "bilip.py", "Kn * dn * ed or", "Kn * dn * dd or"),
     "closure_pivots": (
         "gen.py", "for k in range(n):", "for k in range(n - 1):"),
+    # random_space's scale guard, and the fuzz campaigns' stop rule
+    "scale_guard": (
+        "gen.py", "if scale <= 0:", "if scale < 0:"),
+    "campaign_stop": (
+        "gen.py", "if not ok:", "if ok:"),
 }
 
 
