@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Rational, rat
 from .errors import PreconditionError, StructuralError, as_text
@@ -43,14 +43,6 @@ class PLFunction:
                     final_slope: Rational) -> "PLFunction":
         return cls(tuple((rat(t), rat(v)) for t, v in points),
                    rat(final_slope))
-
-    @cached_property
-    def _knots(self) -> tuple[Fraction, ...]:
-        return tuple(t for t, _ in self.breakpoints)
-
-    @cached_property
-    def _slopes(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(p, q) for p, q in self._slope_pairs)
 
     @cached_property
     def _slope_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -105,29 +97,29 @@ class PLFunction:
         """Each segment's knot and line on integers, the tail last.
 
         Segment k is (kn, kd, A, B, C): its knot kn/kd, and its line
-        f(t) = (A*tn + B*td) / (C*td) at t = tn/td.  With the slope p/q and
-        the intercept v0 - slope*t0 = r/s, A = p*s, B = r*q and C = q*s, so
-        each product joins two normalized numbers and no lcm is formed.
+        f(t) = (A*tn + B*td) / (C*td) at t = tn/td.  With the slope p/q
+        (the normalized :attr:`_slope_pairs` entry) and the intercept
+        v0 - slope*t0 = r/s, A = p*s, B = r*q and C = q*s, so each product
+        joins two normalized numbers and no lcm is formed.
         """
         out = []
-        for (t0, v0), slope in zip(self.breakpoints, self._slopes):
+        for (t0, v0), pair in zip(self.breakpoints, self._slope_pairs):
+            slope = Fraction(*pair)
             p, q = slope.as_integer_ratio()
             r, s = (v0 - slope * t0).as_integer_ratio()
             out.append((*t0.as_integer_ratio(), p * s, r * q, q * s))
         return tuple(out)
 
-    def _on_segment(self, k: int, t: Fraction) -> Fraction:
-        """The line of segment k at t; segment 0 also covers t below its knot."""
-        tn, td = t.as_integer_ratio()
-        _, _, a, b, c = self._lines[k]
-        return Fraction(a * tn + b * td, c * td)
-
     def value(self, t: Rational) -> Fraction:
-        t = rat(t)
-        tn, td = t.as_integer_ratio()
+        """The function at t >= 0, read on the integer line table.
+
+        Bisection finds the last segment whose knot is <= t (segment 0
+        also covers t below its knot), and that segment's line is evaluated
+        at t = tn/td as one Fraction.
+        """
+        tn, td = rat(t).as_integer_ratio()
         if tn < 0:
             raise PreconditionError("moduli are defined on [0, oo)")
-        # the last segment whose knot is <= t, or segment 0 below every knot;
         # t < kn/kd is read on integers as tn*kd < kn*td (denominators > 0)
         lines = self._lines
         lo, hi = 1, len(lines)
@@ -138,38 +130,23 @@ class PLFunction:
                 hi = mid
             else:
                 lo = mid + 1
-        return self._on_segment(lo - 1, t)
-
-    def _values_ascending(self, ts: Iterable[Fraction]) -> list[Fraction]:
-        """``value`` at each of the nondecreasing, nonnegative ``ts``.
-
-        The segment index only moves forward, so the whole sequence costs
-        one pass over the knots instead of one bisection per argument.
-        """
-        knots = self._knots
-        last = len(knots) - 1
-        k = 0
-        out = []
-        for t in ts:
-            while k < last and knots[k + 1] <= t:
-                k += 1
-            out.append(self._on_segment(k, t))
-        return out
+        _, _, a, b, c = lines[lo - 1]
+        return Fraction(a * tn + b * td, c * td)
 
     def slopes(self) -> tuple[Fraction, ...]:
         """Segment slopes in order, the tail slope last."""
-        return self._slopes
+        return tuple(Fraction(p, q) for p, q in self._slope_pairs)
 
     @property
     def first_slope(self) -> Fraction:
-        return self.slopes()[0]
+        return Fraction(*self._slope_pairs[0])
 
     @property
     def last_knot(self) -> Fraction:
         return self.breakpoints[-1][0]
 
     def knot_abscissas(self) -> tuple[Fraction, ...]:
-        return self._knots
+        return tuple(t for t, _ in self.breakpoints)
 
     def inverse(self) -> "PLFunction":
         """Exact inverse; the inverse of a concave modulus is convex."""
@@ -324,18 +301,20 @@ def _star_on_box(alpha: PLFunction, beta: PLFunction, bound: Fraction,
     g(s, t) = alpha_inv(s) + beta(t) - alpha_inv(s+t) is nonincreasing in s
     (alpha_inv is convex) and concave in t with g(s, 0) = 0, so its minimum
     on [0, bound]^2 is min(0, g(bound, bound)).  Only when that corner fails
-    is the vertex grid scanned, to name the worst vertex as the witness.
+    is the vertex grid scanned, its values read with ``value`` (beta's once
+    per t), to name the worst vertex as the witness.
     """
     ainv = alpha.inverse()
     if ainv.value(bound) + beta.value(bound) >= ainv.value(2 * bound):
         return None
     s_coords, t_coords = _box_grid(ainv, beta, bound)
-    b_ts = beta._values_ascending(t_coords)
+    b_ts = [beta.value(t) for t in t_coords]
     worst = None
-    for s, a_s in zip(s_coords, ainv._values_ascending(s_coords)):
-        rhss = ainv._values_ascending(s + t for t in t_coords)
-        for t, b_t, rhs in zip(t_coords, b_ts, rhss):
+    for s in s_coords:
+        a_s = ainv.value(s)
+        for t, b_t in zip(t_coords, b_ts):
             lhs = a_s + b_t
+            rhs = ainv.value(s + t)
             if lhs < rhs and (worst is None or lhs - rhs < worst[2] - worst[3]):
                 worst = (s, t, lhs, rhs, direction)
     return worst
@@ -372,7 +351,7 @@ def star_condition(alpha: PLFunction, beta: PLFunction,
     beyond it is checked, so the tail slopes are left to :func:`compatible`.
     On a box [0, S]^2 the condition holds exactly when it holds at the far
     corner (S, S), so that one comparison settles the verdict; the vertex
-    grid is walked only to name the worst violation.
+    grid is scanned, with ``value``, only to name the worst violation.
     """
     require_modulus(alpha)
     require_modulus(beta)
@@ -390,7 +369,8 @@ def compatible(alpha: PLFunction, beta: PLFunction) -> CompatibilityReport:
     rest of the quadrant, so the verdict covers all s, t >= 0.  Each
     condition holds on the box exactly when it holds at the far corner
     (S, S) (see :func:`_star_on_box`); a failing corner sends the check to
-    the vertex grid, which names the worst violating vertex as the witness.
+    the vertex grid, read vertex by vertex with ``PLFunction.value``, which
+    names the worst violating vertex as the witness.
     """
     require_modulus(alpha)
     require_modulus(beta)

@@ -278,8 +278,9 @@ def _evaluation_points(rng, f):
 
 
 def _evaluation_matches_the_reference(rng):
-    """value and _values_ascending against the two-point formula; returns
-    the kinds of function seen, for coverage counts."""
+    """value against the two-point formula, and slopes, first_slope and
+    knot_abscissas against the breakpoints; returns the kinds of function
+    seen, for coverage counts."""
     kinds = set()
     for f in _evaluated_family(rng):
         ts = _evaluation_points(rng, f)
@@ -288,8 +289,12 @@ def _evaluation_matches_the_reference(rng):
         for t in ts:
             got = f.value(t)
             assert type(got) is F and got == want[t]
-        ascending = sorted(F(t) for t in ts)
-        assert f._values_ascending(ascending) == [want[t] for t in ascending]
+        slopes = tuple((v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1)
+                       in zip(f.breakpoints, f.breakpoints[1:]))
+        assert f.slopes() == (*slopes, f.final_slope)
+        assert all(type(x) is F for x in f.slopes())
+        assert f.first_slope == f.slopes()[0]
+        assert f.knot_abscissas() == tuple(t for t, _ in f.breakpoints)
         for t in (-1, -F(1, 10 ** 250)):
             with pytest.raises(PreconditionError,
                                match=r"^moduli are defined on \[0, oo\)$"):
@@ -307,7 +312,7 @@ def _evaluation_matches_the_reference(rng):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_value_and_the_ascending_walk_match_the_reference(seed):
+def test_value_slopes_and_knots_match_the_reference(seed):
     _evaluation_matches_the_reference(random.Random(seed))
 
 
@@ -320,6 +325,21 @@ def test_the_evaluation_reference_reaches_every_kind():
     # slope, and knots over 200-300-digit denominators
     for kind in ("below", "single", "nonpositive", "big"):
         assert seen[kind] >= 20, seen
+    # the grid's value calls on big integers: three-piece moduli whose
+    # knots sit over 143- to 254-digit denominators, failing inside the box
+    d, e = 3 ** 300, 7 ** 300
+    a1, a2, b1, b2 = 1 + F(1, d), 3 + F(2, d), F(e - 1, 2 * e), 2 + F(2, e)
+    alpha = PLFunction.from_points(
+        [(0, 0), (a1, 2 * a1), (a2, a1 + a2)], F(1, 2))
+    beta = PLFunction.from_points(
+        [(0, 0), (b1, 3 * b1), (b2, b1 + 2 * b2)], 1)
+    assert all(10 ** 100 < t.denominator < 10 ** 300
+               for f in (alpha, beta, alpha.inverse(), beta.inverse())
+               for t in f.knot_abscissas()[1:])
+    report = compatible(alpha, beta)
+    hit = (star_on_box_reference(alpha, beta, report.box, 1)
+           or star_on_box_reference(beta, alpha, report.box, 2))
+    assert hit is not None and (report.ok, report.witness) == (False, hit)
 
 
 @settings(max_examples=12, deadline=None)

@@ -114,6 +114,12 @@ MUTANTS = {
         "gen.py", "if scale <= 0:", "if scale < 0:"),
     "campaign_stop": (
         "gen.py", "if not ok:", "if ok:"),
+    # value, the one evaluation path of a PL function
+    "value_search_cross": (
+        "moduli.py", "if tn * kd < kn * td:", "if tn * kd < kn * kd:"),
+    "value_line_cross": (
+        "moduli.py", "Fraction(a * tn + b * td, c * td)",
+        "Fraction(a * tn + b * tn, c * td)"),
 }
 
 
