@@ -7,6 +7,7 @@ small denominators to keep exact arithmetic quick.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -167,26 +168,36 @@ def random_permutation_map(rng: random.Random, space: FiniteMetricSpace,
     return AutoMap(space, tuple(images), basepoint)
 
 
+# an int numerator over den as a Fraction, built once per grid value
+_over = functools.lru_cache(maxsize=None)(Fraction)
+
+
 def random_modulus(rng: random.Random, pieces: int = 3, den: int = 8,
                    slope_hi: int = 4) -> PLFunction:
     """Random concave increasing PL bijection of [0, oo) starting at (0, 0).
 
     Slopes and widths are drawn as numerators over ``den``, as
     ``rand_fraction`` draws them; breakpoints accumulate as ints over den
-    and den**2.
+    and den**2, and ``_over`` turns each into a Fraction shared by every
+    draw; the grid holds few values, so a draw mostly builds none.  A
+    pieces < 1 or den < 1 raises PreconditionError before any draw.
     """
-    k = rng.randint(1, pieces)
+    if pieces < 1:
+        raise PreconditionError(f"pieces must be at least 1, got {pieces}")
+    if den < 1:
+        raise PreconditionError(f"den must be at least 1, got {den}")
+    k = rng.randrange(1, pieces + 1)
     top = slope_hi * den
-    slopes = sorted((rng.randint(1, top) if top >= 1 else 1
+    slopes = sorted((rng.randrange(1, top + 1) if top >= 1 else 1
                      for _ in range(k + 1)), reverse=True)
-    pts = [(Fraction(0), Fraction(0))]
+    pts = [(_over(0), _over(0))]
     t = v = 0
     for s in slopes[:-1]:
-        width = rng.randint(1, 2 * den)
+        width = rng.randrange(1, 2 * den + 1)
         t += width
         v += s * width
-        pts.append((Fraction(t, den), Fraction(v, den * den)))
-    m = PLFunction(tuple(pts), Fraction(slopes[-1], den))
+        pts.append((_over(t, den), _over(v, den * den)))
+    m = PLFunction(tuple(pts), _over(slopes[-1], den))
     assert is_modulus(m)
     return m
 

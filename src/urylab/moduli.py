@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from .core import Rational, rat
@@ -98,16 +99,21 @@ class PLFunction:
 
         Segment k is (kn, kd, A, B, C): its knot kn/kd, and its line
         f(t) = (A*tn + B*td) / (C*td) at t = tn/td.  With the slope p/q
-        (the normalized :attr:`_slope_pairs` entry) and the intercept
-        v0 - slope*t0 = r/s, A = p*s, B = r*q and C = q*s, so each product
-        joins two normalized numbers and no lcm is formed.
+        (the :attr:`_slope_pairs` entry reduced by its gcd) and the
+        intercept v0 - slope*t0 = (vn*q*td - p*tn*vd) / (vd*q*td) reduced
+        to r/s, A = p*s, B = r*q and C = q*s, so each product joins two
+        normalized numbers and no lcm, and no Fraction, is formed.
         """
         out = []
-        for (t0, v0), pair in zip(self.breakpoints, self._slope_pairs):
-            slope = Fraction(*pair)
-            p, q = slope.as_integer_ratio()
-            r, s = (v0 - slope * t0).as_integer_ratio()
-            out.append((*t0.as_integer_ratio(), p * s, r * q, q * s))
+        for (t0, v0), (p, q) in zip(self.breakpoints, self._slope_pairs):
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            tn, td = t0.as_integer_ratio()
+            vn, vd = v0.as_integer_ratio()
+            r, s = vn * q * td - p * tn * vd, vd * q * td
+            g = gcd(r, s)
+            r, s = r // g, s // g
+            out.append((tn, td, p * s, r * q, q * s))
         return tuple(out)
 
     def value(self, t: Rational) -> Fraction:

@@ -279,6 +279,20 @@ def pl_value_reference(points, slope, t):
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
+def lines_reference(f):
+    """PLFunction._lines by Fraction arithmetic: each segment's knot and its
+    line (A, B, C) with f(t) = (A*tn + B*td) / (C*td), from the normalized
+    slope p/q and intercept v0 - slope*t0 = r/s as A = p*s, B = r*q and
+    C = q*s."""
+    out = []
+    for (t0, v0), pair in zip(f.breakpoints, f._slope_pairs):
+        slope = Fraction(*pair)
+        p, q = slope.as_integer_ratio()
+        r, s = (v0 - slope * t0).as_integer_ratio()
+        out.append((*t0.as_integer_ratio(), p * s, r * q, q * s))
+    return tuple(out)
+
+
 def box_grid_reference(alpha, beta, bound):
     """Abscissas (s, t) of the cell vertices on [0, bound]^2 where
     alpha^-1(s) + beta(t) - alpha^-1(s + t) is affine per cell: the knots

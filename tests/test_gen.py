@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_utils
+from urylab import gen
 from oracle_utils import (rand_fraction_reference, random_modulus_reference,
                           random_point_in_ball_reference, random_space_reference,
                           random_space_rows)
@@ -133,6 +134,36 @@ def test_random_modulus_matches_the_fraction_draws(pieces, den, slope_hi):
         assert rng.getstate() == ref_rng.getstate()
     if slope_hi == 0:  # every slope takes rand_fraction's return-lo branch
         assert m.final_slope == F(1, den)
+
+
+@pytest.mark.parametrize("kw, text", [
+    ({"pieces": 0}, "pieces must be at least 1, got 0"),
+    ({"pieces": -2}, "pieces must be at least 1, got -2"),
+    ({"den": 0}, "den must be at least 1, got 0"),
+    ({"den": -8}, "den must be at least 1, got -8"),
+], ids=["pieces-zero", "pieces-negative", "den-zero", "den-negative"])
+def test_random_modulus_refuses_a_bad_argument_before_any_draw(kw, text):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(PreconditionError) as exc:
+        random_modulus(rng, **{"pieces": 3, **kw})
+    assert str(exc.value) == text
+    assert rng.getstate() == state
+
+
+def test_random_modulus_draws_the_same_with_a_cold_memo():
+    for seed in range(12):
+        gen._over.cache_clear()
+        cold = random_modulus(random.Random(seed), 16)
+        warm = random_modulus(random.Random(seed), 16)
+        assert cold == warm
+        assert cold == random_modulus_reference(random.Random(seed), 16)
+        for m in (cold, warm):
+            assert all(type(x) is F for pt in m.breakpoints for x in pt)
+            assert type(m.final_slope) is F
+        # the warm draw reuses the cold draw's Fractions
+        assert all(a is b for p, q in zip(cold.breakpoints, warm.breakpoints)
+                   for a, b in zip(p, q))
 
 
 # --- random_point_in_ball against the fill-then-test reference -------------

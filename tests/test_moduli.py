@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle_utils import (box_grid_reference, knots_increase_reference,
-                          modulus_report_reference, pl_value_reference,
-                          star_on_box_reference)
+                          lines_reference, modulus_report_reference,
+                          pl_value_reference, star_on_box_reference)
 from urylab import (CompatibilityReport, MCSemigroup, PLFunction,
                     PreconditionError, StructuralError, compatible,
                     is_modulus, linear, modulus_compose, modulus_inverse,
@@ -340,6 +340,43 @@ def test_the_evaluation_reference_reaches_every_kind():
     hit = (star_on_box_reference(alpha, beta, report.box, 1)
            or star_on_box_reference(beta, alpha, report.box, 2))
     assert hit is not None and (report.ok, report.witness) == (False, hit)
+
+
+def _lines_family(rng):
+    """A seeded modulus and a composition of two, each scaled by a factor
+    over a 100-300-digit denominator, and the inverses of all four (their
+    intercepts are negative)."""
+    den = rng.randrange(10 ** 100, 10 ** 300)
+    c = F(rng.randint(den, 3 * den), den)
+    m = random_modulus(rng, rng.randint(1, 16))
+    comp = m.compose(random_modulus(rng, 4))
+    fs = (m, comp, m.scale(c), comp.scale(c))
+    return fs + tuple(f.inverse() for f in fs)
+
+
+def test_lines_match_the_fraction_reference():
+    # lines through the origin past the first segment (one of them after a
+    # first knot off the origin), and a single line
+    through_origin = (
+        PLFunction.from_points([(0, 0), (1, 2), (2, 3)], F(3, 2)),
+        PLFunction.from_points([(0, 0), (1, 3), (2, 4), (4, 8)], 1),
+        PLFunction.from_points([(2, 4), (3, 5)], F(5, 3)), linear(F(7, 3)))
+    rng = random.Random(59)
+    family = [f for _ in range(60) for f in _lines_family(rng)]
+    seen = Counter()
+    for f in family + list(through_origin):
+        lines = f._lines
+        assert lines == lines_reference(f)
+        for t in _probes(f):
+            assert f.value(t) == pl_value_reference(f.breakpoints,
+                                                    f.final_slope, t)
+        for k, (_, _, _, b, _) in enumerate(lines):
+            seen["negative" if b < 0 else "positive" if b > 0
+                 else "zero" if k else "zero first"] += 1
+        if max(v.denominator for pt in f.breakpoints for v in pt) > 10 ** 99:
+            seen["big"] += 1
+    assert all(seen[kind] >= 3 for kind in
+               ("negative", "positive", "zero", "zero first", "big")), seen
 
 
 @settings(max_examples=12, deadline=None)

@@ -120,6 +120,13 @@ MUTANTS = {
     "value_line_cross": (
         "moduli.py", "Fraction(a * tn + b * td, c * td)",
         "Fraction(a * tn + b * tn, c * td)"),
+    # the integer line table, and random_modulus's argument guard
+    "lines_intercept": (
+        "moduli.py", "vn * q * td - p * tn * vd", "vn * q * td + p * tn * vd"),
+    "lines_cross": (
+        "moduli.py", "vn * q * td - p * tn * vd", "vn * q * vd - p * tn * vd"),
+    "modulus_guard": (
+        "gen.py", "if pieces < 1:", "if pieces < 0:"),
 }
 
 
