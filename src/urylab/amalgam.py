@@ -9,7 +9,7 @@ intersection can be merged point by point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import FiniteMetricSpace, Rational, rat
 from .errors import PreconditionError, as_text
@@ -27,38 +27,54 @@ _RULES: dict[str, Chooser] = {
 POLICIES = tuple(_RULES)
 
 
-def min_sum(pairs: Iterable[tuple[Rational, Rational]]) -> Fraction:
-    """min(x + y) over (x, y) pairs of rationals, exactly, as one Fraction.
+def min_sum(dist: Sequence[Sequence[Rational]],
+            values: Mapping[int, Rational],
+            targets: Iterable[int]) -> list[Fraction]:
+    """min over anchors a of values[a] + dist[a][w], for each target w.
 
-    Each sum stays the unreduced integer pair (xn*yd + yn*xd, xd*yd) and is
-    compared with the best so far by cross-multiplication, which is exact
-    because denominators are positive.  Only the winner becomes a Fraction,
-    so the result equals ``min(x + y for x, y in pairs)``.  An empty input
-    raises as ``min()`` does.  A float or Decimal entry, which ``rat`` would
-    reject, enters at its exact value.
+    This is the one-point rule's upper end.  Each anchor's value is split
+    into its integer pair once per call, not once per target.  Each sum
+    stays the unreduced integer pair (xn*yd + yn*xd, xd*yd) and is compared
+    with the best so far by cross-multiplication, which is exact because
+    denominators are positive.  Only each target's winner becomes a
+    Fraction, so entry w equals ``min(g + dist[a][w] for a, g in
+    values.items())``.  No anchors and a target raise as ``min()`` does.
+    A float or Decimal entry, which ``rat`` would reject, enters at its
+    exact value.
     """
-    bn, bd = 0, 0
-    for x, y in pairs:
-        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-        n, d = xn * yd + yn * xd, xd * yd
-        if not bd or n * bd < bn * d:
-            bn, bd = n, d
-    if not bd:
-        min(())  # the interpreter's own empty-input ValueError
-    return Fraction(bn, bd)
+    anchors = [(dist[a], g.as_integer_ratio()) for a, g in values.items()]
+    out = []
+    for w in targets:
+        bn = bd = 0
+        for row, (xn, xd) in anchors:
+            yn, yd = row[w].as_integer_ratio()
+            n, d = xn * yd + yn * xd, xd * yd
+            if not bd or n * bd < bn * d:
+                bn, bd = n, d
+        if not bd:
+            min(())  # the interpreter's own empty-input ValueError
+        out.append(Fraction(bn, bd))
+    return out
 
 
-def max_gap(pairs: Iterable[tuple[Rational, Rational]]) -> Fraction:
-    """max |x - y| over (x, y) pairs, the twin of :func:`min_sum`."""
-    bn, bd = 0, 0
-    for x, y in pairs:
-        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-        n, d = abs(xn * yd - yn * xd), xd * yd
-        if not bd or n * bd > bn * d:
-            bn, bd = n, d
-    if not bd:
-        max(())
-    return Fraction(bn, bd)
+def max_gap(dist: Sequence[Sequence[Rational]],
+            values: Mapping[int, Rational],
+            targets: Iterable[int]) -> list[Fraction]:
+    """max over anchors a of |values[a] - dist[a][w]|, for each target w:
+    the one-point rule's lower end, the twin of :func:`min_sum`."""
+    anchors = [(dist[a], g.as_integer_ratio()) for a, g in values.items()]
+    out = []
+    for w in targets:
+        bn = bd = 0
+        for row, (xn, xd) in anchors:
+            yn, yd = row[w].as_integer_ratio()
+            n, d = abs(xn * yd - yn * xd), xd * yd
+            if not bd or n * bd > bn * d:
+                bn, bd = n, d
+        if not bd:
+            max(())
+        out.append(Fraction(bn, bd))
+    return out
 
 
 def chooser(policy: Policy) -> Chooser:
@@ -105,8 +121,8 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
         for w in range(work.n):
             if w in known:
                 continue
-            lo = max_gap((g, work.d(z, w)) for z, g in known.items())
-            hi = min_sum((g, work.d(z, w)) for z, g in known.items())
+            lo = max_gap(work.dist, known, (w,))[0]
+            hi = min_sum(work.dist, known, (w,))[0]
             if lo > hi:
                 z_lo = next(z for z, g in known.items()
                             if abs(g - work.d(z, w)) == lo)
@@ -197,23 +213,26 @@ def _katetov_value(space: FiniteMetricSpace, vals: Mapping[int, Fraction],
     """Shortest-path rule at one point: g(w) = min over a of (g(a) + d(a, w)).
 
     Unchecked: the caller vouches for the pair inequalities on the support,
-    on which the rule gives back the prescribed value.  Each value off the
-    support is one :func:`min_sum`.
+    on which the rule gives back the prescribed value.  A value off the
+    support is one :func:`min_sum` target.
     """
     if w in vals:
         return vals[w]
-    dist = space.dist
-    return min_sum((g, dist[a][w]) for a, g in vals.items())
+    return min_sum(space.dist, vals, (w,))[0]
 
 
 def _katetov_fill(space: FiniteMetricSpace,
                   vals: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
-    """:func:`_katetov_value` at every point, in index order.
+    """:func:`_katetov_value` at every point, in index order, with every
+    point off the support a target of one :func:`min_sum` call.
 
     This is the upper end of :func:`amalgamate`'s one-point interval alone,
     kept apart from it because no caller needs the lower end.
     """
-    return tuple(_katetov_value(space, vals, w) for w in range(space.n))
+    off = [w for w in range(space.n) if w not in vals]
+    full = dict(vals)
+    full.update(zip(off, min_sum(space.dist, vals, off)))
+    return tuple(full[w] for w in range(space.n))
 
 
 def realize_point(space: FiniteMetricSpace, values: Mapping[int, Rational]

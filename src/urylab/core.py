@@ -16,6 +16,8 @@ from .errors import (DegenerateInputError, PreconditionError, StructuralError,
                      as_text)
 
 Rational = Union[Fraction, int]
+# the diagonal entry every appended row ends with, shared by all of them
+_ZERO = Fraction(0)
 
 
 def rat(value: Rational) -> Fraction:
@@ -103,7 +105,7 @@ class FiniteMetricSpace:
         if any(v.numerator <= 0 for v in row):
             raise StructuralError("new point at nonpositive distance")
         dist = tuple(self.dist[i] + (row[i],) for i in range(self.n))
-        dist += (row + (Fraction(0),),)
+        dist += (row + (_ZERO,),)
         return FiniteMetricSpace(self.labels + (label,), dist)
 
 

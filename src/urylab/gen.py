@@ -23,13 +23,16 @@ from .mc_extend import extend_one_point_mc
 from .moduli import PLFunction, compatible, is_modulus, linear
 
 
-def _grid_ends(lo: Fraction, hi: Fraction, den: int) -> tuple[int, int]:
+def _grid_ends(lo: tuple[int, int], hi: tuple[int, int],
+               den: int) -> tuple[int, int]:
     """(ceil(lo*den), floor(hi*den)): the numerators over den in [lo, hi].
 
-    Rounded by integer floor division; the range is empty when b < a.
+    lo and hi are integer pairs (n, d) with d > 0, as ``as_integer_ratio``
+    gives them.  Rounded by integer floor division; the range is empty when
+    b < a.
     """
-    return (-(-lo.numerator * den // lo.denominator),
-            hi.numerator * den // hi.denominator)
+    (ln, ld), (hn, hd) = lo, hi
+    return -(-ln * den // ld), hn * den // hd
 
 
 def rand_fraction(rng: random.Random, lo, hi, den: int = 16) -> Fraction:
@@ -38,10 +41,10 @@ def rand_fraction(rng: random.Random, lo, hi, den: int = 16) -> Fraction:
     Returns lo itself when no multiple of 1/den lies in [lo, hi].
     """
     lo, hi = rat(lo), rat(hi)
-    a, b = _grid_ends(lo, hi, den)
+    a, b = _grid_ends(lo.as_integer_ratio(), hi.as_integer_ratio(), den)
     if b < a:
         return lo
-    return Fraction(rng.randint(a, b), den)
+    return Fraction(rng.randrange(a, b + 1), den)
 
 
 def line_space(positions: Sequence, labels: Optional[Sequence[str]] = None
@@ -71,7 +74,8 @@ def random_space(rng: random.Random, n: int, scale=4,
     if den < 1:
         raise PreconditionError(f"den must be at least 1, got {den}")
     lo = scale / den
-    a, b = _grid_ends(lo, scale, den)
+    a, b = _grid_ends(lo.as_integer_ratio(), scale.as_integer_ratio(),
+                      den)
     q = den if a <= b else lo.denominator
     d = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -87,34 +91,54 @@ def random_space(rng: random.Random, n: int, scale=4,
         [[Fraction(v, q) for v in row] for row in d])
 
 
+_SIXTEENTH = Fraction(1, 16)
+_FIFTEEN_SIXTEENTHS = Fraction(15, 16)
+
+
 def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
                          ball: Ball) -> tuple[FiniteMetricSpace, int]:
     """Realize a fresh point strictly inside the ball.
 
     Tries a two-anchor Katetov prescription a few times, then falls back to
-    a collinear point hung off the center, which always lands inside.  A
-    try is decided by the new point's distance to the center alone, so only
-    the accepted try fills a row.
+    a collinear point hung off the center, which always lands inside.  Both
+    radii are drawn as ``rand_fraction`` draws them, on integer grid ends:
+    rho_a = an/16 with an in [1, floor(16r)] (1/16 when that is empty), and,
+    with d(a, b) = dn/dd, rho_b = k/16 with k in
+    [ceil(|an*dd - 16*dn| / dd), floor((an*dd + 16*dn) / dd)], or the low
+    end |rho_a - d(a, b)| itself when that is empty.  A try is decided by
+    the new point's distance to the center alone, so only the accepted try
+    fills a row.
     """
     center, r = ball.center, ball.radius
+    a_lo, a_hi = _grid_ends((1, 16), r.as_integer_ratio(), 16)
     for _ in range(3):
         if space.n < 2:
             break
         a, b = rng.sample(range(space.n), 2)
-        rho_a = rand_fraction(rng, Fraction(1, 16), r)
-        dab = space.d(a, b)
-        lo, hi = abs(rho_a - dab), rho_a + dab
-        rho_b = rand_fraction(rng, lo, hi)
-        if rho_b <= 0:
+        if a_lo <= a_hi:
+            an = rng.randrange(a_lo, a_hi + 1)
+            rho_a = Fraction(an, 16)
+        else:
+            an, rho_a = 1, _SIXTEENTH
+        # rho_b's interval ends as integer pairs over 16*dd
+        dn, dd = space.d(a, b).as_integer_ratio()
+        ln, hn, q = abs(an * dd - 16 * dn), an * dd + 16 * dn, 16 * dd
+        b_lo, b_hi = _grid_ends((ln, q), (hn, q), 16)
+        if b_lo <= b_hi:
+            bn, bd = rng.randrange(b_lo, b_hi + 1), 16
+        else:
+            bn, bd = ln, q
+        if bn <= 0:
             continue
-        # rho_b lies in [lo, hi], so on a metric space the check passes and
-        # the filled row is positive; a non-metric space may fail the check,
-        # or fill an entry that with_point refuses.
+        rho_b = Fraction(bn, bd)
+        # rho_b lies in [|rho_a - d(a, b)|, rho_a + d(a, b)], so on a metric
+        # space the check passes and the filled row is positive; a non-metric
+        # space may fail the check, or fill an entry that with_point refuses.
         vals = checked_prescription(space, {a: rho_a, b: rho_b})
         if _katetov_value(space, vals, center) < r:
             full = _katetov_fill(space, vals)
             return space.with_point(space.fresh_label(), full), space.n
-    rho = rand_fraction(rng, r / 32, r * Fraction(15, 16))
+    rho = rand_fraction(rng, r / 32, r * _FIFTEEN_SIXTEENTHS)
     return realize_point(space, {center: rho})
 
 

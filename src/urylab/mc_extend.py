@@ -134,9 +134,8 @@ def _prescribe(f: PartialMap, rng_space: FiniteMetricSpace,
     the rest by the same shortest-path rule, which by the triangle
     inequality gives the minimum over z at every other range point too.
     """
-    reach = list(zip(f.images, caps))
-    return {y: min_sum((rng_space.d(fz, y), b) for fz, b in reach)
-            for y in f.images}
+    reach = dict(zip(f.images, caps))
+    return dict(zip(f.images, min_sum(rng_space.dist, reach, f.images)))
 
 
 @dataclass(frozen=True)
@@ -299,8 +298,7 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
         values = _prescribe(net_map, rng_space, caps)
         gap = gap_bound = None
         if q_prev is not None:
-            gap = max_gap((values[y], rng_space.d(y, q_prev))
-                          for y in net_map.images)
+            gap = max_gap(rng_space.dist, values, (q_prev,))[0]
             gap_bound = Fraction(2) ** (2 - n)
             assert gap < gap_bound
             values[q_prev] = gap

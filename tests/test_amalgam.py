@@ -409,14 +409,48 @@ def _kernel_matches_the_reference(rng, kind):
     caps = [values[y] for y in images]
     f = PartialMap(images, images)
     assert _prescribe(f, space, caps) == prescribe_reference(f, space, caps)
-    for w in range(space.n):
-        if w not in values:
-            pairs = [(g, space.d(a, w)) for a, g in values.items()]
-            ends = (max_gap(pairs), min_sum(pairs))
-            assert ends == interval_ends_reference(pairs)
-            assert all(type(end) is F for end in ends)
-    _amalgamate_matches_the_reference(rng, space)
-    return {text[0] for _, _, text in got} or {"none"}
+    off = [w for w in range(space.n) if w not in values]
+    lows = max_gap(space.dist, values, off)
+    highs = min_sum(space.dist, values, iter(off))
+    assert len(lows) == len(highs) == len(off)
+    for w, ends in zip(off, zip(lows, highs)):
+        pairs = [(g, space.d(a, w)) for a, g in values.items()]
+        assert ends == interval_ends_reference(pairs)
+        assert all(type(end) is F for end in ends)
+    solved = _amalgamate_matches_the_reference(rng, space)
+    return ({text[0] for _, _, text in got} or {"none"}) | (
+        {"solved"} if solved else set())
+
+
+def _solved_targets(x0, x1, merged):
+    """The unknown cross distances amalgamate(x0, x1) solves, as the index
+    of the placed point each one is to, read off its result ``merged``.
+
+    Each extra point of x1, in label order, is unknown at every placed point
+    but those it has a known distance to.  An appended one is solved at
+    each of them before its own index.  One identified with a placed point
+    (it is missing from ``merged``) is solved up to the first such point w
+    with d(z, w) equal to its known distance at every known z, a zero lower
+    bound.
+    """
+    placed = {lab: x0.index(lab) for lab in x0.labels if lab in x1.labels}
+    targets = []
+    for lab in sorted(set(x1.labels) - set(placed)):
+        p = x1.index(lab)
+        known = {widx: x1.d(p, x1.index(other))
+                 for other, widx in placed.items()}
+        appended = lab in merged.labels
+        for w in range(merged.index(lab) if appended else merged.n):
+            if w in known:
+                continue
+            targets.append(w)
+            if not appended and all(merged.d(z, w) == g
+                                    for z, g in known.items()):
+                placed[lab] = w
+                break
+        else:
+            placed[lab] = merged.index(lab)
+    return targets
 
 
 def _amalgamate_matches_the_reference(rng, space):
@@ -432,19 +466,32 @@ def _amalgamate_matches_the_reference(rng, space):
             tuple(space.labels[i] for i in idx),
             tuple(tuple(space.d(i, j) for j in idx) for i in idx))
 
+    calls = []
+
     def checked(kernel, end):
-        def run(pairs):
-            pairs = list(pairs)
-            got = kernel(pairs)
-            assert got == interval_ends_reference(pairs)[end]
+        def run(dist, values, targets):
+            targets = list(targets)
+            got = kernel(dist, values, targets)
+            for w, value in zip(targets, got, strict=True):
+                pairs = [(g, dist[z][w]) for z, g in values.items()]
+                assert value == interval_ends_reference(pairs)[end]
+            calls.append((end, dict(values), targets))
             return got
         return run
 
+    x0, x1 = restrict(idx0), restrict(idx1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(amalgam, "max_gap", checked(max_gap, 0))
         mp.setattr(amalgam, "min_sum", checked(min_sum, 1))
-        amalgamate(restrict(idx0), restrict(idx1),
-                   policy=rng.choice(POLICIES))
+        merged = amalgamate(x0, x1, policy=rng.choice(POLICIES))
+    # one (lo, hi) pair of checked calls, over the same anchors and one
+    # target, for every unknown cross distance amalgamate solves
+    solved = _solved_targets(x0, x1, merged)
+    lows, highs = calls[0::2], calls[1::2]
+    assert [end for end, _, _ in calls] == [0, 1] * len(solved)
+    assert [call[1:] for call in lows] == [call[1:] for call in highs]
+    assert [targets for _, _, targets in lows] == [[w] for w in solved]
+    return len(solved)
 
 
 @settings(max_examples=80, deadline=None)
@@ -463,27 +510,32 @@ def test_the_kernel_reference_reaches_every_kind():
     # '|g(a) - g(b)| > d ...', 'd = ... > ...'), and no violation at all
     for text in ("n", "|", "d", "none"):
         assert texts[text] >= 20, texts
+    # and amalgamate solved at least one unknown cross distance
+    assert texts["solved"] >= 20, texts
 
 
 def test_the_kernel_raises_on_an_empty_input_as_min_and_max_do():
     for kernel, builtin in ((min_sum, min), (max_gap, max)):
         with pytest.raises(ValueError) as want:
             builtin([])
-        for empty in ([], iter(())):
+        # no anchors: each target raises; no targets: nothing to fold
+        for targets in ([0], iter((0,))):
             with pytest.raises(ValueError) as got:
-                kernel(empty)
+                kernel(((0,),), {}, targets)
             assert str(got.value) == str(want.value)
+        assert kernel(((0,),), {}, []) == []
 
 
 def test_the_kernel_takes_a_float_or_decimal_at_its_exact_value():
     # rat() rejects both, but the kernel reads any as_integer_ratio()
     for inexact in (0.1, Decimal("0.1")):
         exact = F(inexact)
-        pairs = [(inexact, F(1, 3)), (F(1, 2), F(1, 2))]
-        assert min_sum(pairs) == exact + F(1, 3)
-        assert max_gap(pairs) == F(1, 3) - exact
-        assert all(type(end) is F for end in (min_sum(pairs),
-                                              max_gap(pairs)))
+        # anchors 0 and 1 with g = inexact and 1/2, at distances 1/3 and
+        # 1/2 from the target 0
+        dist, values = ((F(1, 3),), (F(1, 2),)), {0: inexact, 1: F(1, 2)}
+        ends = min_sum(dist, values, [0]) + max_gap(dist, values, [0])
+        assert ends == [exact + F(1, 3), F(1, 3) - exact]
+        assert all(type(end) is F for end in ends)
     space = FiniteMetricSpace(("a", "b", "c"),
                               ((0, 0.1, 1), (0.1, 0, 1), (1, 1, 0)))
     assert _katetov_fill(space, {0: F(1, 2)}) == (F(1, 2), F(0.1) + F(1, 2),

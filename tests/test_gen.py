@@ -1,5 +1,6 @@
 """Seeded generators against their Fraction-arithmetic references."""
 
+import math
 import random
 import sys
 from collections import Counter
@@ -168,7 +169,7 @@ def test_random_modulus_draws_the_same_with_a_cold_memo():
 
 # --- random_point_in_ball against the fill-then-test reference -------------
 
-DRAW_KINDS = ("metric", "big", "negative", "triangle")
+DRAW_KINDS = ("metric", "big", "negative", "triangle", "tiny")
 EPS = F(1, 10 ** 6)
 
 
@@ -176,18 +177,25 @@ def _draw_case(rng, kind, n):
     """A space of n points (at least 3 for "triangle") and a ball in it.
 
     "metric" is a random space; "big" scales it by a factor over a
-    100-300-digit denominator.  "negative" sets one pair to a negative
-    distance; "triangle" sets d(i, k) past d(i, j) + d(j, k).  The center is
+    100-300-digit denominator.  "tiny" scales by 1/64, so that the radius
+    can fall below 1/16; half the time every distance of its space is 4,
+    1/16 once scaled, so a rho_a of 1/16 equals d(a, b) and rho_b can be 0.
+    "negative" sets one pair to a negative distance; "triangle" sets
+    d(i, k) past d(i, j) + d(j, k).  The center is
     any point, and the radius runs from an eighth of the center's farthest
     distance to twice it, so that many tries land outside.
     """
-    space = random_space(rng, max(n, 3) if kind == "triangle" else n)
+    den = rng.choice((1, 8)) if kind == "tiny" else 8
+    space = random_space(rng, max(n, 3) if kind == "triangle" else n,
+                         den=den)
     d = [list(row) for row in space.dist]
     if kind == "big":
         digits = rng.randint(100, 300)
         q = rng.randrange(10 ** (digits - 1), 10 ** digits)
         scale = F(q + rng.randrange(1, q), q)
         d = [[v * scale for v in row] for row in d]
+    elif kind == "tiny":
+        d = [[v / 64 for v in row] for row in d]
     elif kind == "negative":
         i, j = rng.sample(range(space.n), 2)
         d[i][j] = d[j][i] = -rand_fraction(rng, F(1, 8), 2, 8)
@@ -244,15 +252,24 @@ def test_random_point_in_ball_matches_the_reference(seed, n, kind):
     _same_draw(rng, *_draw_case(rng, kind, n))
 
 
-def test_the_draw_reference_reaches_every_branch():
+def test_the_draw_reference_reaches_every_branch(monkeypatch):
     rng = random.Random(29)
     seen = Counter()
-    for k in range(320):
+    radii = []
+
+    def recording(rng, lo, hi, den=16):
+        value = rand_fraction(rng, lo, hi, den)
+        radii.append((lo, hi, value))
+        return value
+
+    monkeypatch.setattr(oracle_utils, "rand_fraction", recording)
+    for k in range(400):
         kind = DRAW_KINDS[k % len(DRAW_KINDS)]
         # a broken pair is an anchor more often in a small space
         n = rng.randint(2, 30 if kind in ("metric", "big") else 8)
         space, ball = _draw_case(rng, kind, n)
         first = _first_anchors(rng.getstate(), space.n)
+        radii.clear()
         got, checks = _same_draw(rng, space, ball)
         if isinstance(got[0], FiniteMetricSpace):
             assert got[0].n == space.n + 1
@@ -261,10 +278,19 @@ def test_the_draw_reference_reaches_every_branch():
         else:
             assert kind in ("negative", "triangle")
             seen[got[0].__name__] += 1
+        # the reference's radii: rho_a then rho_b for each try, and the
+        # fallback's one radius last
+        tries = radii[:len(radii) - len(radii) % 2]
+        for _, (lo, hi, rho_b) in zip(tries[0::2], tries[1::2]):
+            seen["rho_a grid empty"] += 16 * ball.radius < 1
+            seen["rho_b grid empty"] += (math.ceil(16 * lo)
+                                         > math.floor(16 * hi))
+            seen["rho_b zero"] += rho_b == 0
     # a non-metric space raises from the prescription check or from the
     # appended row
     for what in ("rejected", "accepted", "center anchor",
-                 "PreconditionError", "StructuralError"):
+                 "PreconditionError", "StructuralError", "rho_a grid empty",
+                 "rho_b grid empty", "rho_b zero"):
         assert seen[what] >= 10, seen
 
 

@@ -127,6 +127,15 @@ MUTANTS = {
         "moduli.py", "vn * q * td - p * tn * vd", "vn * q * vd - p * tn * vd"),
     "modulus_guard": (
         "gen.py", "if pieces < 1:", "if pieces < 0:"),
+    # the draw's integer grid ends, and the kernel's split anchors
+    "draw_low_floor": (
+        "gen.py", "b_lo, b_hi = _grid_ends((ln, q), (hn, q), 16)",
+        "b_lo, b_hi = ln * 16 // q, _grid_ends((ln, q), (hn, q), 16)[1]"),
+    "draw_zero_kept": (
+        "gen.py", "if bn <= 0:", "if bn < 0:"),
+    "anchor_split_cross": (
+        "amalgam.py", "n, d = xn * yd + yn * xd, xd * yd",
+        "n, d = xn * xd + yn * xd, xd * yd"),
 }
 
 
