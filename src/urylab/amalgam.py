@@ -9,9 +9,9 @@ intersection can be merged point by point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
-from .core import FiniteMetricSpace, Rational, rat
+from .core import FiniteMetricSpace, Rational, max_gap, min_sum, rat, split
 from .errors import PreconditionError, as_text
 
 Policy = str  # a key of _RULES: 'midpoint' | 'minimal' | 'maximal'
@@ -25,56 +25,6 @@ _RULES: dict[str, Chooser] = {
     "maximal": lambda lo, hi: hi,
 }
 POLICIES = tuple(_RULES)
-
-
-def min_sum(dist: Sequence[Sequence[Rational]],
-            values: Mapping[int, Rational],
-            targets: Iterable[int]) -> list[Fraction]:
-    """min over anchors a of values[a] + dist[a][w], for each target w.
-
-    This is the one-point rule's upper end.  Each anchor's value is split
-    into its integer pair once per call, not once per target.  Each sum
-    stays the unreduced integer pair (xn*yd + yn*xd, xd*yd) and is compared
-    with the best so far by cross-multiplication, which is exact because
-    denominators are positive.  Only each target's winner becomes a
-    Fraction, so entry w equals ``min(g + dist[a][w] for a, g in
-    values.items())``.  No anchors and a target raise as ``min()`` does.
-    A float or Decimal entry, which ``rat`` would reject, enters at its
-    exact value.
-    """
-    anchors = [(dist[a], g.as_integer_ratio()) for a, g in values.items()]
-    out = []
-    for w in targets:
-        bn = bd = 0
-        for row, (xn, xd) in anchors:
-            yn, yd = row[w].as_integer_ratio()
-            n, d = xn * yd + yn * xd, xd * yd
-            if not bd or n * bd < bn * d:
-                bn, bd = n, d
-        if not bd:
-            min(())  # the interpreter's own empty-input ValueError
-        out.append(Fraction(bn, bd))
-    return out
-
-
-def max_gap(dist: Sequence[Sequence[Rational]],
-            values: Mapping[int, Rational],
-            targets: Iterable[int]) -> list[Fraction]:
-    """max over anchors a of |values[a] - dist[a][w]|, for each target w:
-    the one-point rule's lower end, the twin of :func:`min_sum`."""
-    anchors = [(dist[a], g.as_integer_ratio()) for a, g in values.items()]
-    out = []
-    for w in targets:
-        bn = bd = 0
-        for row, (xn, xd) in anchors:
-            yn, yd = row[w].as_integer_ratio()
-            n, d = abs(xn * yd - yn * xd), xd * yd
-            if not bd or n * bd > bn * d:
-                bn, bd = n, d
-        if not bd:
-            max(())
-        out.append(Fraction(bn, bd))
-    return out
 
 
 def chooser(policy: Policy) -> Chooser:
@@ -117,17 +67,18 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
         p = x1.index(lab)
         known: dict[int, Fraction] = {
             widx: x1.d(p, x1.index(other)) for other, widx in placed.items()}
+        # one anchor per entry of `known`, in the same order
+        anchors = split(work.dist, known)
         merged_into: Optional[int] = None
         for w in range(work.n):
             if w in known:
                 continue
-            lo = max_gap(work.dist, known, (w,))[0]
-            hi = min_sum(work.dist, known, (w,))[0]
+            [lo], [hi] = max_gap(anchors, (w,)), min_sum(anchors, (w,))
             if lo > hi:
-                z_lo = next(z for z, g in known.items()
-                            if abs(g - work.d(z, w)) == lo)
-                z_hi = next(z for z, g in known.items()
-                            if g + work.d(z, w) == hi)
+                z_lo = next(z for z, a in zip(known, anchors)
+                            if max_gap([a], (w,)) == [lo])
+                z_hi = next(z for z, a in zip(known, anchors)
+                            if min_sum([a], (w,)) == [hi])
                 raise PreconditionError(
                     f"no distance from new point {lab!r} to "
                     f"{work.labels[w]!r}: lower bound {lo} via "
@@ -138,6 +89,7 @@ def amalgamate(x0: FiniteMetricSpace, x1: FiniteMetricSpace,
                 merged_into = w
                 break
             known[w] = value
+            anchors.append((work.dist[w], value.as_integer_ratio()))
         if merged_into is not None:
             placed[lab] = merged_into
             continue
@@ -214,24 +166,24 @@ def _katetov_value(space: FiniteMetricSpace, vals: Mapping[int, Fraction],
 
     Unchecked: the caller vouches for the pair inequalities on the support,
     on which the rule gives back the prescribed value.  A value off the
-    support is one :func:`min_sum` target.
+    support is one target of ``core.min_sum`` over the support's anchors.
     """
     if w in vals:
         return vals[w]
-    return min_sum(space.dist, vals, (w,))[0]
+    return min_sum(split(space.dist, vals), (w,))[0]
 
 
 def _katetov_fill(space: FiniteMetricSpace,
                   vals: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
-    """:func:`_katetov_value` at every point, in index order, with every
-    point off the support a target of one :func:`min_sum` call.
+    """:func:`_katetov_value` at every point, in index order: every point off
+    the support is a target of one ``core.min_sum`` call over its anchors.
 
     This is the upper end of :func:`amalgamate`'s one-point interval alone,
     kept apart from it because no caller needs the lower end.
     """
     off = [w for w in range(space.n) if w not in vals]
     full = dict(vals)
-    full.update(zip(off, min_sum(space.dist, vals, off)))
+    full.update(zip(off, min_sum(split(space.dist, vals), off)))
     return tuple(full[w] for w in range(space.n))
 
 

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (DegenerateInputError, PreconditionError, StructuralError,
                      as_text)
 
 Rational = Union[Fraction, int]
+Anchor = tuple[Sequence[Rational], tuple[int, int]]  # (dist[a], g(a) split)
 # the diagonal entry every appended row ends with, shared by all of them
 _ZERO = Fraction(0)
 
@@ -107,6 +108,52 @@ class FiniteMetricSpace:
         dist = tuple(self.dist[i] + (row[i],) for i in range(self.n))
         dist += (row + (_ZERO,),)
         return FiniteMetricSpace(self.labels + (label,), dist)
+
+
+def split(dist: Sequence[Sequence[Rational]],
+          values: Mapping[int, Rational]) -> list[Anchor]:
+    """The anchors of a one-point prescription, in ``values``' order, each
+    value split into its integer pair once: :func:`min_sum`'s input."""
+    return [(dist[a], g.as_integer_ratio()) for a, g in values.items()]
+
+
+def min_sum(anchors: Sequence[Anchor], targets: Iterable[int]
+            ) -> list[Fraction]:
+    """min over anchors (row, g) of g + row[w] for each target w: the
+    one-point rule's upper end.  Each sum stays the integer pair (xn*yd +
+    yn*xd, xd*yd), compared by cross-multiplication; only each winner becomes
+    a Fraction.  A target with no anchors raises as ``min()`` does.  A float
+    or Decimal, which ``rat`` rejects, enters at its exact value."""
+    out = []
+    for w in targets:
+        bn = bd = 0
+        for row, (xn, xd) in anchors:
+            yn, yd = row[w].as_integer_ratio()
+            n, d = xn * yd + yn * xd, xd * yd
+            if not bd or n * bd < bn * d:
+                bn, bd = n, d
+        if not bd:
+            min(())  # the interpreter's own empty-input ValueError
+        out.append(Fraction(bn, bd))
+    return out
+
+
+def max_gap(anchors: Sequence[Anchor], targets: Iterable[int]
+            ) -> list[Fraction]:
+    """max over anchors (row, g) of |g - row[w]|, for each target w: the
+    one-point rule's lower end, the twin of :func:`min_sum`."""
+    out = []
+    for w in targets:
+        bn = bd = 0
+        for row, (xn, xd) in anchors:
+            yn, yd = row[w].as_integer_ratio()
+            n, d = abs(xn * yd - yn * xd), xd * yd
+            if not bd or n * bd > bn * d:
+                bn, bd = n, d
+        if not bd:
+            max(())
+        out.append(Fraction(bn, bd))
+    return out
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .amalgam import max_gap, min_sum, realize_point
-from .core import FiniteMetricSpace, PartialMap, Rational, rat
+from .amalgam import realize_point
+from .core import (FiniteMetricSpace, PartialMap, Rational, max_gap, min_sum,
+                   rat, split)
 from .errors import PreconditionError, as_text
 from .moduli import MCSemigroup, PLFunction, require_modulus, star_condition
 
@@ -134,8 +135,8 @@ def _prescribe(f: PartialMap, rng_space: FiniteMetricSpace,
     the rest by the same shortest-path rule, which by the triangle
     inequality gives the minimum over z at every other range point too.
     """
-    reach = dict(zip(f.images, caps))
-    return dict(zip(f.images, min_sum(rng_space.dist, reach, f.images)))
+    reach = split(rng_space.dist, dict(zip(f.images, caps)))
+    return dict(zip(f.images, min_sum(reach, f.images)))
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def extend_totally_bounded(f: PartialMap, dom_space: FiniteMetricSpace,
         values = _prescribe(net_map, rng_space, caps)
         gap = gap_bound = None
         if q_prev is not None:
-            gap = max_gap(rng_space.dist, values, (q_prev,))[0]
+            [gap] = max_gap(split(rng_space.dist, values), (q_prev,))
             gap_bound = Fraction(2) ** (2 - n)
             assert gap < gap_bound
             values[q_prev] = gap

@@ -19,7 +19,7 @@ from urylab import (FiniteMetricSpace, PartialMap, PreconditionError,
                     validate_space)
 from urylab.amalgam import (POLICIES, _katetov_fill, katetov_violations,
                             max_gap, min_sum)
-from urylab.core import Ball
+from urylab.core import Ball, split
 from urylab.gen import random_point_in_ball, random_space
 from urylab.mc_extend import _prescribe
 from oracle_utils import (certify_new_row_reference, interval_ends_reference,
@@ -410,8 +410,9 @@ def _kernel_matches_the_reference(rng, kind):
     f = PartialMap(images, images)
     assert _prescribe(f, space, caps) == prescribe_reference(f, space, caps)
     off = [w for w in range(space.n) if w not in values]
-    lows = max_gap(space.dist, values, off)
-    highs = min_sum(space.dist, values, iter(off))
+    anchors = split(space.dist, values)
+    lows = max_gap(anchors, off)
+    highs = min_sum(anchors, iter(off))
     assert len(lows) == len(highs) == len(off)
     for w, ends in zip(off, zip(lows, highs)):
         pairs = [(g, space.d(a, w)) for a, g in values.items()]
@@ -423,23 +424,28 @@ def _kernel_matches_the_reference(rng, kind):
 
 
 def _solved_targets(x0, x1, merged):
-    """The unknown cross distances amalgamate(x0, x1) solves, as the index
-    of the placed point each one is to, read off its result ``merged``.
+    """The unknown cross distances amalgamate(x0, x1) solves, in order, read
+    off its result ``merged``.  Each is (w, anchors): w is the index of the
+    placed point it is to, and anchors lists (d(z, w), g(z)) over the points
+    z the extra point has a value at when it is solved, in placement order.
 
     Each extra point of x1, in label order, is unknown at every placed point
     but those it has a known distance to.  An appended one is solved at
     each of them before its own index.  One identified with a placed point
     (it is missing from ``merged``) is solved up to the first such point w
     with d(z, w) equal to its known distance at every known z, a zero lower
-    bound.
+    bound.  Its values are then its distances to w, the point it ends at:
+    g(z) = d(z, w) at every anchor z of that zero lower bound.  The anchors
+    are its known distances, then each value solved so far.
     """
     placed = {lab: x0.index(lab) for lab in x0.labels if lab in x1.labels}
-    targets = []
+    out = []
     for lab in sorted(set(x1.labels) - set(placed)):
         p = x1.index(lab)
         known = {widx: x1.d(p, x1.index(other))
                  for other, widx in placed.items()}
         appended = lab in merged.labels
+        targets = []
         for w in range(merged.index(lab) if appended else merged.n):
             if w in known:
                 continue
@@ -450,7 +456,12 @@ def _solved_targets(x0, x1, merged):
                 break
         else:
             placed[lab] = merged.index(lab)
-    return targets
+        zs = list(known)
+        for w in targets:
+            out.append((w, [(merged.d(z, w), merged.d(z, placed[lab]))
+                            for z in zs]))
+            zs.append(w)
+    return out
 
 
 def _amalgamate_matches_the_reference(rng, space):
@@ -469,13 +480,15 @@ def _amalgamate_matches_the_reference(rng, space):
     calls = []
 
     def checked(kernel, end):
-        def run(dist, values, targets):
+        def run(anchors, targets):
             targets = list(targets)
-            got = kernel(dist, values, targets)
+            got = kernel(anchors, targets)
+            # each anchor read back as (its row, g as a Fraction)
+            read = [(row, F(n, d)) for row, (n, d) in anchors]
             for w, value in zip(targets, got, strict=True):
-                pairs = [(g, dist[z][w]) for z, g in values.items()]
+                pairs = [(g, row[w]) for row, g in read]
                 assert value == interval_ends_reference(pairs)[end]
-            calls.append((end, dict(values), targets))
+            calls.append((end, targets, read))
             return got
         return run
 
@@ -485,12 +498,15 @@ def _amalgamate_matches_the_reference(rng, space):
         mp.setattr(amalgam, "min_sum", checked(min_sum, 1))
         merged = amalgamate(x0, x1, policy=rng.choice(POLICIES))
     # one (lo, hi) pair of checked calls, over the same anchors and one
-    # target, for every unknown cross distance amalgamate solves
+    # target, for every unknown cross distance amalgamate solves; the
+    # anchors are the known distances, then the values solved so far
     solved = _solved_targets(x0, x1, merged)
     lows, highs = calls[0::2], calls[1::2]
     assert [end for end, _, _ in calls] == [0, 1] * len(solved)
     assert [call[1:] for call in lows] == [call[1:] for call in highs]
-    assert [targets for _, _, targets in lows] == [[w] for w in solved]
+    assert [targets for _, targets, _ in lows] == [[w] for w, _ in solved]
+    assert [[(row[w], g) for row, g in read] for _, [w], read in lows] == [
+        anchors for _, anchors in solved]
     return len(solved)
 
 
@@ -521,9 +537,9 @@ def test_the_kernel_raises_on_an_empty_input_as_min_and_max_do():
         # no anchors: each target raises; no targets: nothing to fold
         for targets in ([0], iter((0,))):
             with pytest.raises(ValueError) as got:
-                kernel(((0,),), {}, targets)
+                kernel(split(((0,),), {}), targets)
             assert str(got.value) == str(want.value)
-        assert kernel(((0,),), {}, []) == []
+        assert kernel(split(((0,),), {}), []) == []
 
 
 def test_the_kernel_takes_a_float_or_decimal_at_its_exact_value():
@@ -532,14 +548,37 @@ def test_the_kernel_takes_a_float_or_decimal_at_its_exact_value():
         exact = F(inexact)
         # anchors 0 and 1 with g = inexact and 1/2, at distances 1/3 and
         # 1/2 from the target 0
-        dist, values = ((F(1, 3),), (F(1, 2),)), {0: inexact, 1: F(1, 2)}
-        ends = min_sum(dist, values, [0]) + max_gap(dist, values, [0])
+        anchors = split(((F(1, 3),), (F(1, 2),)), {0: inexact, 1: F(1, 2)})
+        ends = min_sum(anchors, [0]) + max_gap(anchors, [0])
         assert ends == [exact + F(1, 3), F(1, 3) - exact]
         assert all(type(end) is F for end in ends)
     space = FiniteMetricSpace(("a", "b", "c"),
                               ((0, 0.1, 1), (0.1, 0, 1), (1, 1, 0)))
     assert _katetov_fill(space, {0: F(1, 2)}) == (F(1, 2), F(0.1) + F(1, 2),
                                                   F(3, 2))
+
+
+@pytest.mark.parametrize("kind", [float, Decimal, F])
+def test_amalgamate_names_its_witnesses_at_each_entry_exact_value(kind):
+    # x0 is not metric: d(a, b) = 5 > d(a, c) + d(c, b).  At b the new point
+    # m has lower end |1 - 5| = 4 via a and upper end 1.3 + 0.1 via c.
+    def space(third, to_a, to_c):
+        z, ac, x, y = (kind(v) for v in ("0", "0.1", to_a, to_c))
+        return FiniteMetricSpace(("a", "c", third),
+                                 ((z, ac, x), (ac, z, y), (x, y, z)))
+
+    x0, x1 = space("b", "5", "0.1"), space("m", "1", "1.3")
+    hi = F(kind("1.3")) + F(kind("0.1"))
+    for policy in POLICIES:
+        with pytest.raises(PreconditionError) as err:
+            amalgamate(x0, x1, policy=policy)
+        assert str(err.value) == (
+            f"no distance from new point 'm' to 'b': lower bound 4 via 'a' "
+            f"exceeds upper bound {hi} via 'c'; an input is not metric")
+    if kind is F:
+        assert str(err.value) == (
+            "no distance from new point 'm' to 'b': lower bound 4 via 'a' "
+            "exceeds upper bound 7/5 via 'c'; an input is not metric")
 
 
 def test_the_new_row_certificate_takes_a_float_at_its_exact_value():

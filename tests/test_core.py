@@ -1,5 +1,6 @@
 """Metric axioms, Lipschitz constants, and goodness margins."""
 
+import ast
 import random
 import sys
 from fractions import Fraction as F
@@ -15,6 +16,25 @@ from urylab import (Ball, DegenerateInputError, FiniteMetricSpace, PartialMap,
                     lip_constant, rat, validate_space)
 from urylab.errors import UnreportableError
 from urylab.gen import random_space
+
+
+def test_core_imports_nothing_but_errors():
+    # core is the bottom layer, so any urylab module can import it, the
+    # one-point kernel included, without an import cycle
+    path = Path(__file__).resolve().parent.parent / "src" / "urylab" / "core.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = (["." * node.level + (node.module or alias.name)
+                      for alias in node.names] if node.level
+                     else [node.module])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if name.startswith(".") or name.split(".")[0] == "urylab"]
+    assert found and set(found) == {".errors"}, found
 
 
 @pytest.mark.parametrize("value", ["1/2", 0.5])

@@ -63,21 +63,21 @@ MUTANTS = {
         "if beta.final_slope * 1001 / 1000 >= lam:"),
     "beta_bound": (
         "mc_extend.py", "if ee > top:", "if ee > top + dd / 1000:"),
-    # the min-of-sums kernel and the integer pair inequalities
+    # the one-point kernel and the integer pair inequalities
     "min_sum_flipped": (
-        "amalgam.py", "if not bd or n * bd < bn * d:",
+        "core.py", "if not bd or n * bd < bn * d:",
         "if not bd or n * bd > bn * d:"),
     "min_sum_cross": (
-        "amalgam.py", "n, d = xn * yd + yn * xd, xd * yd",
+        "core.py", "n, d = xn * yd + yn * xd, xd * yd",
         "n, d = xn * yd + yn * yd, xd * yd"),
     "max_gap_no_abs": (
-        "amalgam.py", "n, d = abs(xn * yd - yn * xd), xd * yd",
+        "core.py", "n, d = abs(xn * yd - yn * xd), xd * yd",
         "n, d = xn * yd - yn * xd, xd * yd"),
     "max_gap_cross": (
-        "amalgam.py", "n, d = abs(xn * yd - yn * xd), xd * yd",
+        "core.py", "n, d = abs(xn * yd - yn * xd), xd * yd",
         "n, d = abs(xn * yd - yn * yd), xd * yd"),
     "max_gap_flipped": (
-        "amalgam.py", "if not bd or n * bd > bn * d:",
+        "core.py", "if not bd or n * bd > bn * d:",
         "if not bd or n * bd < bn * d:"),
     "violations_no_abs": (
         "amalgam.py", "if abs(u - v) * dd > scaled:",
@@ -134,8 +134,16 @@ MUTANTS = {
     "draw_zero_kept": (
         "gen.py", "if bn <= 0:", "if bn < 0:"),
     "anchor_split_cross": (
-        "amalgam.py", "n, d = xn * yd + yn * xd, xd * yd",
+        "core.py", "n, d = xn * yd + yn * xd, xd * yd",
         "n, d = xn * xd + yn * xd, xd * yd"),
+    # amalgamate's anchors, extended as it places values, and its witnesses
+    "anchor_append_stale": (
+        "amalgam.py",
+        "anchors.append((work.dist[w], value.as_integer_ratio()))",
+        "anchors.append((work.dist[w], lo.as_integer_ratio()))"),
+    "witness_end_swapped": (
+        "amalgam.py", "if max_gap([a], (w,)) == [lo])",
+        "if min_sum([a], (w,)) == [lo])"),
 }
 
 
