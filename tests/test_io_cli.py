@@ -1,7 +1,9 @@
 """Text formats, round trips, CLI exit codes, and trace verification."""
 
 import contextlib
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -803,8 +805,9 @@ def test_cli_pair_text_past_the_digit_limit_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: Exceeds the limit")
 
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "demos" / "data"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def data(name):
@@ -825,9 +828,9 @@ COMMANDS = (
     ("verify-trace {0} {1} {2} " + " ".join(BILIP),
      ((GOLDEN / "extend-bilip-midpoint.txt").read_text(), data("worked.ums"),
       data("worked.map"))),
-    ("extend-mc {0} {0} {1} --alpha {2} --beta {3} --point x",
-     (data("worked.ums"), data("worked.map"), data("kinked.mc"),
-      data("identity.mc"))),
+    ("extend-mc {0} {1} {2} --alpha {3} --beta {4} --point x",
+     (data("worked.ums"), data("worked.ums"), data("worked.map"),
+      data("kinked.mc"), data("identity.mc"))),
     ("counterexample --alpha {0} --beta {1} --s 1 --t 1",
      (data("kinked.mc"), data("identity.mc"))),
     ("witness --gamma {0} --delta {1} --depth 2",
@@ -871,20 +874,32 @@ def mutated_command(draw):
     return template, texts
 
 
+def run_on_files(template, contents):
+    """Run a COMMANDS template on input files holding ``contents`` (bytes).
+
+    Returns the exit code, stdout, stderr and the input paths.
+    """
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, raw in enumerate(contents):
+            path = Path(tmp) / f"input{k}"
+            path.write_bytes(raw)
+            paths.append(str(path))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(template.format(*paths).split())
+    return rc, out.getvalue(), err.getvalue(), paths
+
+
+def encoded(texts):
+    return [text.encode("utf-8") for text in texts]
+
+
 @settings(max_examples=150, deadline=None)
 @given(mutated_command())
 def test_cli_exit_code_on_mutated_artifacts(case):
     template, texts = case
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for k, text in enumerate(texts):
-            path = Path(tmp) / f"input{k}"
-            path.write_text(text)
-            paths.append(str(path))
-        argv = template.format(*paths).split()
-        with contextlib.redirect_stdout(StringIO()), \
-                contextlib.redirect_stderr(StringIO()):
-            rc = main(argv)
+    rc = run_on_files(template, encoded(texts))[0]
     assert rc in (0, 1, 2, 3)
 
 
@@ -922,17 +937,130 @@ def test_cli_contract_on_any_input_bytes(template, texts, data):
         contents = [b"\xff"] * len(texts)
     else:
         contents = [data.draw(file_bytes(text)) for text in texts]
-    out, err = StringIO(), StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for k, raw in enumerate(contents):
-            path = Path(tmp) / f"input{k}"
-            path.write_bytes(raw)
-            paths.append(str(path))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(template.format(*paths).split())
+    rc, out, err, _ = run_on_files(template, contents)
     assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if rc == 1:
         witness = WITNESS_LINE[template.split()[0]]
-        assert any(witness(line) for line in out.getvalue().splitlines())
+        assert any(witness(line) for line in out.splitlines())
+
+
+COMMAND = {template.split()[0]: (template, texts)
+           for template, texts in COMMANDS}
+FILE_ARGUMENTS = [(template, texts, k) for template, texts in COMMANDS
+                  for k in range(len(texts))]
+
+
+def lone_ff_error(path):
+    """The failure text for a file holding the one byte 0xff."""
+    return (f"parse error: {path}: byte 0 is not valid UTF-8 "
+            "(invalid start byte)\n")
+
+
+@pytest.mark.parametrize(
+    "template, texts, k", FILE_ARGUMENTS,
+    ids=[f"{template.split()[0]}-{k}" for template, _, k in FILE_ARGUMENTS])
+def test_cli_non_utf8_file_in_each_argument(template, texts, k):
+    contents = encoded(texts)
+    contents[k] = b"\xff"
+    rc, out, err, paths = run_on_files(template, contents)
+    assert (rc, out, err) == (3, "", lone_ff_error(paths[k]))
+
+
+# Each modulus argument: its command, its placeholder, and how an error
+# about it begins.
+MODULUS_ARGUMENTS = {
+    "extend-mc-alpha": (
+        "extend-mc", 3, "error: alpha is not a valid modulus: "),
+    "extend-mc-beta": (
+        "extend-mc", 4, "error: beta is not a valid modulus: "),
+    "counterexample-alpha": (
+        "counterexample", 0, "error: alpha is not a valid modulus: "),
+    "counterexample-beta": (
+        "counterexample", 1, "error: beta is not a valid modulus: "),
+    "witness-gamma": ("witness", 0, "error: gamma is not a valid modulus: "),
+    "witness-delta": (
+        "witness", 1, "error: invalid generating set: generator 0: "),
+}
+# Files that are not moduli: a rising slope and a first breakpoint off the
+# origin exit 2, repeated knots do not parse and exit 3.
+BAD_MODULI = {
+    "rising": ("mc\nbp 0 0\nbp 1 1\ntail 2\n", 2, "{prefix}concavity "
+               "violated between pieces 0 and 1: slope rises 1 -> 2\n"),
+    "off-origin": ("mc\nbp 1 1\nbp 2 2\ntail 1/2\n", 2,
+                   "{prefix}first breakpoint is (1, 1), not (0, 0)\n"),
+    "repeated": ("mc\nbp 0 0\nbp 1 1\nbp 1 2\ntail 1/2\n", 3,
+                 "parse error: breakpoint abscissas must strictly increase\n"),
+}
+
+
+@pytest.mark.parametrize("modulus", BAD_MODULI)
+@pytest.mark.parametrize("argument", MODULUS_ARGUMENTS)
+def test_cli_invalid_modulus_in_each_argument(argument, modulus):
+    command, k, prefix = MODULUS_ARGUMENTS[argument]
+    text, code, message = BAD_MODULI[modulus]
+    template, texts = COMMAND[command]
+    contents = encoded(texts)
+    contents[k] = text.encode("utf-8")
+    assert run_on_files(template, contents)[:3] == (
+        code, "", message.format(prefix=prefix))
+
+
+def first_line(old, new):
+    return lambda steps: [steps[0].replace(old, new, 1)] + steps[1:]
+
+
+# Edits of the README trace's step lines, each with verify-trace's exit
+# code, stdout and stderr: the e= value fails its interval first, the s=
+# value reaches the line comparison, and swapping them breaks the grammar.
+TRACE_EDITS = {
+    "comments-stripped": (lambda steps: steps, 0, "ok: verified 3 steps\n",
+                          ""),
+    "last-line-dropped": (lambda steps: steps[:-1], 1,
+                          "FAIL: trace truncated at line 3\n", ""),
+    "e-perturbed": (first_line(" e=5/4 ", " e=5/41 "), 1,
+                    "FAIL: chosen e_1 = 5/41 outside [1/2, 2]\n", ""),
+    "s-perturbed": (
+        first_line(" s=35/16 ", " s=35/161 "), 1,
+        "FAIL: line 1: recomputed step 1 side=d interval=[1/2,2] e=5/4 "
+        "s=35/16 point=q1 != recorded step 1 side=d interval=[1/2,2] "
+        "e=5/4 s=5/23 point=q1\n", ""),
+    "e-s-swapped": (
+        first_line(" e=5/4 s=35/16 ", " s=35/16 e=5/4 "), 3, "",
+        "parse error: line 1: expected 'step <m> side=<d|r> "
+        "interval=[<lo>,<hi>] e=<e> s=<s> point=<label>'\n"),
+}
+
+
+@pytest.mark.parametrize("edit", TRACE_EDITS)
+def test_cli_verify_trace_on_an_edited_readme_trace(edit):
+    rewrite, *want = TRACE_EDITS[edit]
+    template, (trace, *inputs) = COMMAND["verify-trace"]
+    steps = [line for line in trace.splitlines() if not line.startswith("#")]
+    text = "".join(line + "\n" for line in rewrite(steps))
+    assert list(run_on_files(template, encoded([text] + inputs))[:3]) == want
+
+
+@pytest.mark.parametrize("suite", sorted(gen.CAMPAIGNS))
+def test_cli_fuzz_campaign_of_200_cases_passes(suite, capsys):
+    rc = main(["fuzz", "--suite", suite, "--count", "200", "--seed", "11"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert captured.out.endswith("\nall passed\n")
+
+
+def test_cli_module_entry_point(tmp_path):
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "urylab.cli", *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=60)
+
+    ok = run("validate", DATA / "worked.ums")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (
+        0, (GOLDEN / "validate-worked.txt").read_text(), "")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    failed = run("validate", bad)
+    assert (failed.returncode, failed.stdout, failed.stderr) == (
+        3, "", lone_ff_error(bad))

@@ -144,6 +144,23 @@ MUTANTS = {
     "witness_end_swapped": (
         "amalgam.py", "if max_gap([a], (w,)) == [lo])",
         "if min_sum([a], (w,)) == [lo])"),
+    # each modulus argument's own check, which names it in the failure text
+    "certify_alpha_unchecked": (
+        "mc_extend.py",
+        'require_modulus(alpha, "alpha")\n    require_modulus(beta, "beta")\n'
+        "    if p in f.domain:",
+        'require_modulus(beta, "beta")\n    if p in f.domain:'),
+    "certify_beta_unchecked": (
+        "mc_extend.py", 'require_modulus(beta, "beta")\n    if p in f.domain:',
+        "if p in f.domain:"),
+    "counterexample_beta_unchecked": (
+        "mc_extend.py",
+        'require_modulus(beta, "beta")\n    s, t = rat(s), rat(t)',
+        "s, t = rat(s), rat(t)"),
+    "witness_gamma_unchecked": (
+        "mc_extend.py",
+        'require_modulus(gamma, "gamma")\n    bad = delta.validate()',
+        "bad = delta.validate()"),
 }
 
 
