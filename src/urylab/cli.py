@@ -115,7 +115,7 @@ def cmd_extend_mc(args) -> tuple[str, int]:
     alpha = io.parse_modulus(_read(args.alpha))
     beta = io.parse_modulus(_read(args.beta))
     p = dom.index(args.point)
-    bound = io.parse_rational(args.bound) if args.bound else 0
+    bound = io.parse_rational(args.bound) if args.bound is not None else 0
     ext = extend_one_point_mc(fmap, dom, rng_space, alpha, beta, p,
                               bound=bound)
     lines = [f"# extend-mc point={args.point}",
@@ -179,7 +179,8 @@ def cmd_group_dist(args) -> tuple[str, int]:
     if args.depth > RADIUS_BOUND:
         raise PreconditionError(f"--depth {args.depth} > {RADIUS_BOUND}")
     space = _load_space(args.space)
-    base = space.index(args.basepoint) if args.basepoint else 0
+    base = (space.index(args.basepoint) if args.basepoint is not None
+            else 0)
     f = _as_automap(io.parse_map(_read(args.f), space), space, base)
     g = _as_automap(io.parse_map(_read(args.g), space), space, base)
     hat = dist_hat(f, g)

@@ -56,31 +56,21 @@ def line_space(positions: Sequence, labels: Optional[Sequence[str]] = None
     return FiniteMetricSpace.from_rows(labels, rows)
 
 
-def random_space(rng: random.Random, n: int, scale=4,
+def random_space(rng: random.Random, n: int,
                  den: int = 8) -> FiniteMetricSpace:
     """Shortest-path closure of a random complete weighted graph.
 
-    Each weight is ``rand_fraction(rng, scale/den, scale, den)``, drawn as
-    its int numerator over q = den.  When no multiple of 1/den lies in that
-    range, every weight is scale/den, as ``rand_fraction`` returns it, with
-    q its denominator, and nothing is drawn.  The closure runs on the ints
-    over q, which commutes with the scaling, and each Fraction is built
-    once at the end.  A scale <= 0 or den < 1 raises PreconditionError
-    before any draw.
+    Each weight is ``rand_fraction(rng, 4/den, 4, den)``, drawn as its int
+    numerator in [4, 4*den] over den.  The closure runs on those ints, and
+    each Fraction is built once at the end.  A den < 1 raises
+    PreconditionError before any draw.
     """
-    scale = rat(scale)
-    if scale <= 0:
-        raise PreconditionError(f"scale must be positive, got {scale}")
     if den < 1:
         raise PreconditionError(f"den must be at least 1, got {den}")
-    lo = scale / den
-    a, b = _grid_ends(lo.as_integer_ratio(), scale.as_integer_ratio(),
-                      den)
-    q = den if a <= b else lo.denominator
     d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d[i][j] = d[j][i] = rng.randint(a, b) if a <= b else lo.numerator
+            d[i][j] = d[j][i] = rng.randint(4, 4 * den)
     for k in range(n):
         for i in range(n):
             di, dk = d[i], d[k]
@@ -88,7 +78,7 @@ def random_space(rng: random.Random, n: int, scale=4,
             d[i] = [x if x <= (c := dik + y) else c for x, y in zip(di, dk)]
     return FiniteMetricSpace.from_rows(
         tuple(f"p{i}" for i in range(n)),
-        [[Fraction(v, q) for v in row] for row in d])
+        [[Fraction(v, den) for v in row] for row in d])
 
 
 _SIXTEENTH = Fraction(1, 16)

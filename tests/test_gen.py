@@ -21,31 +21,25 @@ from urylab.gen import (CAMPAIGNS, campaign, rand_fraction, random_modulus,
                         random_point_in_ball, random_space)
 
 
-@pytest.mark.parametrize("scale", [4, 1, F(1, 3), F(7, 2)])
 @pytest.mark.parametrize("den", [1, 3, 8, 16])
-def test_random_space_matches_the_fraction_closure(scale, den):
+def test_random_space_matches_the_fraction_closure(den):
     for seed in range(3):
         for n in range(13):
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            space = random_space(rng, n, scale=scale, den=den)
-            rows = random_space_rows(ref_rng, n, scale=scale, den=den)
+            space = random_space(rng, n, den=den)
+            rows = random_space_rows(ref_rng, n, den=den)
             assert space == FiniteMetricSpace.from_rows(space.labels, rows)
             assert ([[str(v) for v in row] for row in space.dist]
                     == [[str(v) for v in row] for row in rows])
             assert rng.getstate() == ref_rng.getstate()
             assert validate_space(space).ok
-    if den == 1 and scale == F(1, 3):  # every draw takes the return-lo branch
-        assert space.d(0, 1) == F(1, 3)
 
 
 @pytest.mark.parametrize("kw, text", [
-    ({"scale": -1}, "scale must be positive, got -1"),
-    ({"scale": F(-1, 3)}, "scale must be positive, got -1/3"),
-    ({"scale": 0}, "scale must be positive, got 0"),
     ({"den": 0}, "den must be at least 1, got 0"),
     ({"den": -8}, "den must be at least 1, got -8"),
-], ids=["negative", "negative-fraction", "zero", "den-zero", "den-negative"])
-def test_random_space_refuses_a_bad_scale_before_any_draw(kw, text):
+], ids=["den-zero", "den-negative"])
+def test_random_space_refuses_a_bad_den_before_any_draw(kw, text):
     rng = random.Random(1)
     state = rng.getstate()
     with pytest.raises(PreconditionError) as exc:
@@ -54,43 +48,28 @@ def test_random_space_refuses_a_bad_scale_before_any_draw(kw, text):
     assert rng.getstate() == state
 
 
-def _assert_same_space(seed, n, scale, den):
+def _assert_same_space(seed, n, den):
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    space = random_space(rng, n, scale=scale, den=den)
-    ref = random_space_reference(ref_rng, n, scale=scale, den=den)
+    space = random_space(rng, n, den=den)
+    ref = random_space_reference(ref_rng, n, den=den)
     assert space.labels == ref.labels
     assert space.dist == ref.dist
     assert ([[str(v) for v in row] for row in space.dist]
             == [[str(v) for v in row] for row in ref.dist])
     assert rng.getstate() == ref_rng.getstate()
-    return space
 
 
-@pytest.mark.parametrize("scale", [F(1, 3), 1, 4, 20])
 @pytest.mark.parametrize("den", [1, 2, 3, 8, 16, 1000])
-def test_random_space_matches_the_lcm_closure(scale, den):
+def test_random_space_matches_the_lcm_closure(den):
     for n in (*range(8), 13, 21, 34, 45):
-        _assert_same_space(n, n, scale, den)
-
-
-def test_random_space_draws_nothing_when_the_grid_is_empty():
-    # no multiple of 1/8 lies in [1/128, 1/16]: every weight is 1/128
-    for n in (0, 1, 2, 7, 30):
-        space = _assert_same_space(n, n, F(1, 16), 8)
-        assert all(v == F(1, 128) for i, row in enumerate(space.dist)
-                   for j, v in enumerate(row) if i != j)
-    rng = random.Random(5)
-    state = rng.getstate()
-    random_space(rng, 30, scale=F(1, 16), den=8)
-    assert rng.getstate() == state
+        _assert_same_space(n, n, den)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 45),
-       scale=st.fractions(F(1, 64), 64, max_denominator=64),
        den=st.sampled_from([1, 2, 3, 8, 16, 1000]))
-def test_random_space_matches_the_lcm_closure_property(seed, n, scale, den):
-    _assert_same_space(seed, n, scale, den)
+def test_random_space_matches_the_lcm_closure_property(seed, n, den):
+    _assert_same_space(seed, n, den)
 
 
 def bound_cases(rng):

@@ -97,8 +97,10 @@ def test_dist_S_sorted_pass_matches_the_radius_scan():
     rng = random.Random(47)
     for _ in range(150):
         n = rng.randint(1, 12)
-        space = random_space(rng, n, scale=rng.choice((1, 4, 20)),
-                             den=rng.choice((1, 3, 8)))
+        c = rng.choice((F(1, 4), 1, 5))
+        drawn = random_space(rng, n, den=rng.choice((1, 3, 8)))
+        space = FiniteMetricSpace.from_rows(
+            drawn.labels, [[c * v for v in row] for row in drawn.dist])
         base = rng.randrange(n)
         f = random_permutation_map(rng, space, base)
         g = random_permutation_map(rng, space, base)

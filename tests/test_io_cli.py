@@ -347,6 +347,15 @@ def test_cli_group_dist(tmp_path, capsys):
     assert run_cli(tmp_path, "group-dist", space, f, partial) == 2
 
 
+def test_cli_group_dist_empty_basepoint_exits_3(tmp_path, capsys):
+    rc = run_cli(tmp_path, "group-dist", DATA / "worked.ums",
+                 DATA / "identity.map", DATA / "swap.map", "--basepoint", "")
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: no point labeled ''\n"
+
+
 def test_cli_fuzz_deterministic(tmp_path, capsys):
     assert run_cli(tmp_path, "fuzz", "--suite", "bilip", "--count", "3",
                    "--seed", "12") == 0
@@ -472,6 +481,13 @@ def test_cli_extend_mc_bound_past_the_condition_exits_2(tmp_path, capsys):
     assert captured.err.startswith(
         "error: moduli fail alpha_inv(s)+beta(t) >= alpha_inv(s+t) at "
         "(s, t) = (0, 4):")
+
+
+def test_cli_extend_mc_empty_bound_exits_3(tmp_path, capsys):
+    assert extend_mc_with_kinked_beta(tmp_path, "--bound", "") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: bad rational '': expected [-]p[/q]\n"
 
 
 def test_cli_witness(tmp_path, capsys):

@@ -109,9 +109,7 @@ MUTANTS = {
         "bilip.py", "Kn * dn * ed or", "Kn * dn * dd or"),
     "closure_pivots": (
         "gen.py", "for k in range(n):", "for k in range(n - 1):"),
-    # random_space's scale guard, and the fuzz campaigns' stop rule
-    "scale_guard": (
-        "gen.py", "if scale <= 0:", "if scale < 0:"),
+    # the fuzz campaigns' stop rule
     "campaign_stop": (
         "gen.py", "if not ok:", "if ok:"),
     # value, the one evaluation path of a PL function
@@ -127,6 +125,9 @@ MUTANTS = {
         "moduli.py", "vn * q * td - p * tn * vd", "vn * q * vd - p * tn * vd"),
     "modulus_guard": (
         "gen.py", "if pieces < 1:", "if pieces < 0:"),
+    # the fixed draw grid of random_space's weights, at its top end
+    "space_weight_top": (
+        "gen.py", "rng.randint(4, 4 * den)", "rng.randint(4, 4 * den - 1)"),
     # the draw's integer grid ends, and the kernel's split anchors
     "draw_low_floor": (
         "gen.py", "b_lo, b_hi = _grid_ends((ln, q), (hn, q), 16)",
