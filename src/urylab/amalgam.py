@@ -160,23 +160,11 @@ def katetov_extend(space: FiniteMetricSpace,
     return _katetov_fill(space, checked_prescription(space, values))
 
 
-def _katetov_value(space: FiniteMetricSpace, vals: Mapping[int, Fraction],
-                   w: int) -> Fraction:
-    """Shortest-path rule at one point: g(w) = min over a of (g(a) + d(a, w)).
-
-    Unchecked: the caller vouches for the pair inequalities on the support,
-    on which the rule gives back the prescribed value.  A value off the
-    support is one target of ``core.min_sum`` over the support's anchors.
-    """
-    if w in vals:
-        return vals[w]
-    return min_sum(split(space.dist, vals), (w,))[0]
-
-
 def _katetov_fill(space: FiniteMetricSpace,
                   vals: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
-    """:func:`_katetov_value` at every point, in index order: every point off
-    the support is a target of one ``core.min_sum`` call over its anchors.
+    """Shortest-path rule at every point, in index order: g(w) = min over a
+    of (g(a) + d(a, w)), the prescribed value on the support, and every
+    point off it a target of one ``core.min_sum`` call over its anchors.
 
     This is the upper end of :func:`amalgamate`'s one-point interval alone,
     kept apart from it because no caller needs the lower end.

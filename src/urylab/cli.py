@@ -64,21 +64,28 @@ def _load_extension(args):
     return space, fmap, ball, kn, targets
 
 
+def _violation_lines(space: FiniteMetricSpace) -> list[str]:
+    """One ``violation <kind> <labels> : <detail>`` line per violation."""
+    return [f"violation {v.kind} "
+            f"{' '.join(space.labels[i] for i in v.points)} : {v.detail}"
+            for v in validate_space(space).violations]
+
+
 def cmd_validate(args) -> tuple[str, int]:
     space = _load_space(args.space)
-    report = validate_space(space)
-    lines = [f"space {space.n} points"]
-    for v in report.violations:
-        pts = " ".join(space.labels[i] for i in v.points)
-        lines.append(f"violation {v.kind} {pts} : {v.detail}")
-    lines.append("valid" if report.ok else
-                 f"invalid ({len(report.violations)} violations)")
-    return "\n".join(lines) + "\n", 0 if report.ok else 1
+    bad = _violation_lines(space)
+    lines = [f"space {space.n} points", *bad,
+             f"invalid ({len(bad)} violations)" if bad else "valid"]
+    return "\n".join(lines) + "\n", 1 if bad else 0
 
 
 def cmd_amalgamate(args) -> tuple[str, int]:
     x0 = _load_space(args.space0)
     x1 = _load_space(args.space1)
+    for path, space in ((args.space0, x0), (args.space1, x1)):
+        bad = _violation_lines(space)
+        if bad:
+            raise PreconditionError(f"{path} is not a metric space: {bad[0]}")
     merged = amalgamate(x0, x1, policy=args.policy)
     shared = sum(1 for lab in x0.labels if lab in x1.labels)
     with as_text():

@@ -12,11 +12,12 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .amalgam import (POLICIES, _katetov_fill, _katetov_value, amalgamate,
+from .amalgam import (POLICIES, _katetov_fill, amalgamate,
                       checked_prescription, realize_point)
 from .bilip import (Ball, KNParams, extend_one_point, is_compliant,
                     kn_admissible)
-from .core import FiniteMetricSpace, PartialMap, rat, validate_space
+from .core import (FiniteMetricSpace, PartialMap, min_sum, rat, split,
+                   validate_space)
 from .errors import PreconditionError, as_text
 from .groupmetric import AutoMap, dist_L, dist_S
 from .mc_extend import extend_one_point_mc
@@ -125,7 +126,9 @@ def random_point_in_ball(rng: random.Random, space: FiniteMetricSpace,
         # space the check passes and the filled row is positive; a non-metric
         # space may fail the check, or fill an entry that with_point refuses.
         vals = checked_prescription(space, {a: rho_a, b: rho_b})
-        if _katetov_value(space, vals, center) < r:
+        to_center = (vals[center] if center in vals else
+                     min_sum(split(space.dist, vals), (center,))[0])
+        if to_center < r:
             full = _katetov_fill(space, vals)
             return space.with_point(space.fresh_label(), full), space.n
     rho = rand_fraction(rng, r / 32, r * _FIFTEEN_SIXTEENTHS)
@@ -186,32 +189,28 @@ def random_permutation_map(rng: random.Random, space: FiniteMetricSpace,
 _over = functools.lru_cache(maxsize=None)(Fraction)
 
 
-def random_modulus(rng: random.Random, pieces: int = 3, den: int = 8,
-                   slope_hi: int = 4) -> PLFunction:
+def random_modulus(rng: random.Random, pieces: int = 3) -> PLFunction:
     """Random concave increasing PL bijection of [0, oo) starting at (0, 0).
 
-    Slopes and widths are drawn as numerators over ``den``, as
-    ``rand_fraction`` draws them; breakpoints accumulate as ints over den
-    and den**2, and ``_over`` turns each into a Fraction shared by every
-    draw; the grid holds few values, so a draw mostly builds none.  A
-    pieces < 1 or den < 1 raises PreconditionError before any draw.
+    Slopes are k/8 with k in [1, 32] and widths k/8 with k in [1, 16], drawn
+    as ``rand_fraction`` draws them; breakpoints accumulate as ints over 8
+    and 64, and ``_over`` turns each into a Fraction shared by every draw;
+    the grid holds few values, so a draw mostly builds none.  A pieces < 1
+    raises PreconditionError before any draw.
     """
     if pieces < 1:
         raise PreconditionError(f"pieces must be at least 1, got {pieces}")
-    if den < 1:
-        raise PreconditionError(f"den must be at least 1, got {den}")
     k = rng.randrange(1, pieces + 1)
-    top = slope_hi * den
-    slopes = sorted((rng.randrange(1, top + 1) if top >= 1 else 1
-                     for _ in range(k + 1)), reverse=True)
+    slopes = sorted((rng.randrange(1, 33) for _ in range(k + 1)),
+                    reverse=True)
     pts = [(_over(0), _over(0))]
     t = v = 0
     for s in slopes[:-1]:
-        width = rng.randrange(1, 2 * den + 1)
+        width = rng.randrange(1, 17)
         t += width
         v += s * width
-        pts.append((_over(t, den), _over(v, den * den)))
-    m = PLFunction(tuple(pts), _over(slopes[-1], den))
+        pts.append((_over(t, 8), _over(v, 64)))
+    m = PLFunction(tuple(pts), _over(slopes[-1], 8))
     assert is_modulus(m)
     return m
 

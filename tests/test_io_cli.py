@@ -436,8 +436,32 @@ def test_cli_amalgamate_non_metric_input_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == (
-        "error: no distance from new point 'm' to 'c': lower bound 7 via "
-        "'a' exceeds upper bound 2 via 'b'; an input is not metric\n")
+        f"error: {a} is not a metric space: "
+        "violation triangle a b c : 3 > 1 + 1\n")
+
+
+TWO_POINTS_UMS = "points 2\nlabels a b\nrow 0 1\nrow 1 0\n"
+
+
+@pytest.mark.parametrize("text0, text1, bad, line", [
+    ("points 3\nlabels a b c\nrow 0 1 1\nrow 1 0 1\nrow 1 1 5\n",
+     TWO_POINTS_UMS, "a.ums", "violation diagonal c : d(2,2) = 5 != 0"),
+    (TWO_POINTS_UMS, "points 2\nlabels a c\nrow 0 1\nrow 2 0\n",
+     "b.ums", "violation symmetry a c : 1 != 2"),
+], ids=["diagonal", "symmetry"])
+def test_cli_amalgamate_refuses_an_input_with_no_empty_interval(
+        tmp_path, capsys, text0, text1, bad, line):
+    """Each input fails validate, yet amalgamate finds every interval
+    nonempty: the input check, not the merge, must refuse it."""
+    a, b = tmp_path / "a.ums", tmp_path / "b.ums"
+    a.write_text(text0)
+    b.write_text(text1)
+    out = tmp_path / "merged.ums"
+    assert run_cli(tmp_path, "amalgamate", a, b, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: {tmp_path / bad} is not a metric space: {line}\n")
 
 
 def test_cli_extend_mc(tmp_path, capsys):

@@ -93,8 +93,7 @@ MUTANTS = {
         "if scaled >= (u + v) * dd:"),
     # drawing a point in a ball, and appending its row
     "center_test": (
-        "gen.py", "if _katetov_value(space, vals, center) < r:",
-        "if _katetov_value(space, vals, center) <= r:"),
+        "gen.py", "if to_center < r:", "if to_center <= r:"),
     "with_point_sign": (
         "core.py", "if any(v.numerator <= 0 for v in row):",
         "if any(v.numerator < 0 for v in row):"),
@@ -125,9 +124,14 @@ MUTANTS = {
         "moduli.py", "vn * q * td - p * tn * vd", "vn * q * vd - p * tn * vd"),
     "modulus_guard": (
         "gen.py", "if pieces < 1:", "if pieces < 0:"),
-    # the fixed draw grid of random_space's weights, at its top end
+    # the fixed draw grids of random_space's weights and random_modulus's
+    # slopes and widths, each at its top end
     "space_weight_top": (
         "gen.py", "rng.randint(4, 4 * den)", "rng.randint(4, 4 * den - 1)"),
+    "modulus_slope_top": (
+        "gen.py", "rng.randrange(1, 33)", "rng.randrange(1, 32)"),
+    "modulus_width_top": (
+        "gen.py", "rng.randrange(1, 17)", "rng.randrange(1, 16)"),
     # the draw's integer grid ends, and the kernel's split anchors
     "draw_low_floor": (
         "gen.py", "b_lo, b_hi = _grid_ends((ln, q), (hn, q), 16)",
@@ -162,6 +166,10 @@ MUTANTS = {
         "mc_extend.py",
         'require_modulus(gamma, "gamma")\n    bad = delta.validate()',
         "bad = delta.validate()"),
+    # amalgamate's check that both input files are metric spaces
+    "amalgamate_input_unchecked": (
+        "cli.py", "for path, space in ((args.space0, x0), (args.space1, x1)):",
+        "for path, space in ():"),
 }
 
 
