@@ -54,21 +54,35 @@ def _load_space(path: str) -> FiniteMetricSpace:
     return io.parse_space(_read(path))
 
 
-def _load_extension(args):
-    """Space, map, ball, (K, N) and targets for extend-bilip, verify-trace."""
-    space = _load_space(args.space)
-    fmap = io.parse_map(_read(args.map), space)
-    ball = Ball(space.index(args.center), io.parse_rational(args.radius))
-    kn = kn_admissible(io.parse_rational(args.K), io.parse_rational(args.N))
-    targets = [space.index(t) for t in args.target]
-    return space, fmap, ball, kn, targets
-
-
 def _violation_lines(space: FiniteMetricSpace) -> list[str]:
     """One ``violation <kind> <labels> : <detail>`` line per violation."""
     return [f"violation {v.kind} "
             f"{' '.join(space.labels[i] for i in v.points)} : {v.detail}"
             for v in validate_space(space).violations]
+
+
+def _load_metric_space(path: str) -> FiniteMetricSpace:
+    """The parsed space, or exit 2 when it is not a metric space.
+
+    Every command but ``validate`` assumes its space files are metric, so
+    each reads them here; a refusal names the first line ``validate``
+    would print for the file.
+    """
+    space = _load_space(path)
+    bad = _violation_lines(space)
+    if bad:
+        raise PreconditionError(f"{path} is not a metric space: {bad[0]}")
+    return space
+
+
+def _load_extension(args):
+    """Space, map, ball, (K, N) and targets for extend-bilip, verify-trace."""
+    space = _load_metric_space(args.space)
+    fmap = io.parse_map(_read(args.map), space)
+    ball = Ball(space.index(args.center), io.parse_rational(args.radius))
+    kn = kn_admissible(io.parse_rational(args.K), io.parse_rational(args.N))
+    targets = [space.index(t) for t in args.target]
+    return space, fmap, ball, kn, targets
 
 
 def cmd_validate(args) -> tuple[str, int]:
@@ -80,12 +94,8 @@ def cmd_validate(args) -> tuple[str, int]:
 
 
 def cmd_amalgamate(args) -> tuple[str, int]:
-    x0 = _load_space(args.space0)
-    x1 = _load_space(args.space1)
-    for path, space in ((args.space0, x0), (args.space1, x1)):
-        bad = _violation_lines(space)
-        if bad:
-            raise PreconditionError(f"{path} is not a metric space: {bad[0]}")
+    x0 = _load_metric_space(args.space0)
+    x1 = _load_metric_space(args.space1)
     merged = amalgamate(x0, x1, policy=args.policy)
     shared = sum(1 for lab in x0.labels if lab in x1.labels)
     with as_text():
@@ -116,8 +126,8 @@ def cmd_verify_trace(args) -> tuple[str, int]:
 
 
 def cmd_extend_mc(args) -> tuple[str, int]:
-    dom = _load_space(args.space_x)
-    rng_space = _load_space(args.space_y)
+    dom = _load_metric_space(args.space_x)
+    rng_space = _load_metric_space(args.space_y)
     fmap = io.parse_map(_read(args.map), dom, rng_space)
     alpha = io.parse_modulus(_read(args.alpha))
     beta = io.parse_modulus(_read(args.beta))
@@ -185,7 +195,7 @@ def cmd_group_dist(args) -> tuple[str, int]:
         raise PreconditionError("depth must be nonnegative")
     if args.depth > RADIUS_BOUND:
         raise PreconditionError(f"--depth {args.depth} > {RADIUS_BOUND}")
-    space = _load_space(args.space)
+    space = _load_metric_space(args.space)
     base = (space.index(args.basepoint) if args.basepoint is not None
             else 0)
     f = _as_automap(io.parse_map(_read(args.f), space), space, base)

@@ -26,6 +26,14 @@ class PLFunction:
     the last breakpoint the graph continues with slope ``final_slope``.  The
     class is shared by moduli and their (convex) inverses; concavity is a
     property checked by :func:`modulus_validate`, not a structural invariant.
+
+    Construction splits each breakpoint into integers once and, in the same
+    pass that checks the knot order, builds ``_slope_pairs``: each piece's
+    slope as an unreduced integer pair (p, q), the tail last.  Piece k's
+    pair is (v1 - v0) * td0 * td1 over (t1 - t0) * vd0 * vd1, with the
+    numerators and denominators of its two breakpoints.  The knots
+    increase, so q > 0: p carries the slope's sign, two slopes compare by
+    one cross product, and Fraction(p, q) is the slope.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -34,10 +42,20 @@ class PLFunction:
     def __post_init__(self):
         if not self.breakpoints:
             raise StructuralError("need at least one breakpoint")
-        # t0 < t1 read on integers: n0 * d1 < n1 * d0 (denominators are > 0)
-        ts = [t.as_integer_ratio() for t, _ in self.breakpoints]
-        if any(n1 * d0 <= n0 * d1 for (n0, d0), (n1, d1) in zip(ts, ts[1:])):
-            raise StructuralError("breakpoint abscissas must strictly increase")
+        # each breakpoint split once into (tn, td, vn, vd); t0 < t1 is read
+        # on integers as q = tn1 * td0 - tn0 * td1 > 0 (denominators are > 0)
+        pts = [t.as_integer_ratio() + v.as_integer_ratio()
+               for t, v in self.breakpoints]
+        pairs = []
+        for (tn0, td0, vn0, vd0), (tn1, td1, vn1, vd1) in zip(pts, pts[1:]):
+            q = tn1 * td0 - tn0 * td1
+            if q <= 0:
+                raise StructuralError(
+                    "breakpoint abscissas must strictly increase")
+            pairs.append(((vn1 * vd0 - vn0 * vd1) * td0 * td1,
+                          q * vd0 * vd1))
+        pairs.append(self.final_slope.as_integer_ratio())
+        object.__setattr__(self, "_slope_pairs", tuple(pairs))
 
     @classmethod
     def from_points(cls, points: Sequence[tuple[Rational, Rational]],
@@ -46,51 +64,38 @@ class PLFunction:
                    rat(final_slope))
 
     @cached_property
-    def _slope_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Each piece's slope as an unreduced integer pair (p, q), tail last.
-
-        Piece k's pair is (v1 - v0) * t0d * t1d over (t1 - t0) * v0d * v1d,
-        with the numerators and denominators of its two breakpoints.  The
-        knots increase, so q > 0: p carries the slope's sign, two slopes
-        compare by one cross product, and Fraction(p, q) is the slope.
-        """
-        pts = [(t.as_integer_ratio(), v.as_integer_ratio())
-               for t, v in self.breakpoints]
-        out = [((vn1 * vd0 - vn0 * vd1) * td0 * td1,
-                (tn1 * td0 - tn0 * td1) * vd0 * vd1)
-               for ((tn0, td0), (vn0, vd0)), ((tn1, td1), (vn1, vd1))
-               in zip(pts, pts[1:])]
-        out.append(self.final_slope.as_integer_ratio())
-        return tuple(out)
-
-    @cached_property
     def _modulus_report(self) -> tuple[str, ...]:
         """The report of :func:`modulus_validate`; a frozen object keeps it.
 
-        Decided on the integer slope pairs of :attr:`_slope_pairs`; a
-        Fraction is built only to name a failing slope.
+        Decided on integers alone: the first breakpoint by its numerators,
+        and every slope in one pass over :attr:`_slope_pairs`, where a
+        slope is nonpositive when p <= 0 and rises past the one before
+        when p1 * q0 > p0 * q1.  A Fraction is built only to name a
+        failing slope.
         """
         out = []
         t0, v0 = self.breakpoints[0]
-        if (t0, v0) != (0, 0):
+        if t0 or v0:                    # each numerator tested against 0
             with as_text():
                 out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
         slopes = self._slope_pairs
+        nonpositive, rising = [], []
+        for k, (p1, q1) in enumerate(slopes):
+            if p1 <= 0:
+                nonpositive.append(k)
+            if k and p1 * q0 > p0 * q1:
+                rising.append(k)
+            p0, q0 = p1, q1
         # the values strictly increase exactly when every finite piece rises
-        if any(p <= 0 for p, _ in slopes[:-1]):
+        if nonpositive and nonpositive[0] < len(slopes) - 1:
             out.append("values are not strictly increasing")
-        for k, (p, q) in enumerate(slopes):
-            if p <= 0:
-                with as_text():
-                    out.append(
-                        f"nonpositive slope {Fraction(p, q)} on piece {k}")
-        for k, ((p0, q0), (p1, q1)) in enumerate(zip(slopes, slopes[1:])):
-            if p1 * q0 > p0 * q1:
-                with as_text():
-                    out.append(
-                        f"concavity violated between pieces {k} and {k + 1}: "
-                        f"slope rises {Fraction(p0, q0)} -> "
-                        f"{Fraction(p1, q1)}")
+        if nonpositive or rising:
+            with as_text():
+                out += [f"nonpositive slope {Fraction(*slopes[k])} "
+                        f"on piece {k}" for k in nonpositive]
+                out += [f"concavity violated between pieces {k - 1} and {k}: "
+                        f"slope rises {Fraction(*slopes[k - 1])} -> "
+                        f"{Fraction(*slopes[k])}" for k in rising]
         return tuple(out)
 
     @cached_property

@@ -464,6 +464,44 @@ def test_cli_amalgamate_refuses_an_input_with_no_empty_interval(
         f"error: {tmp_path / bad} is not a metric space: {line}\n")
 
 
+# Every command that reads a space file refuses a non-metric one as
+# amalgamate does.  On triangle-violation.ums, which {bad} names, each of
+# these once exited 0: extend-bilip printed compliant=true, verify-trace
+# "ok: verified 3 steps" for that run's trace, group-dist "lip 1" and
+# "dS 0", and extend-mc realized a point.
+ON_TRIANGLE = "--center a --radius 5 --K 2 --N 4 --target c"
+NOT_METRIC = {
+    "extend-bilip": "extend-bilip {bad} {one} " + ON_TRIANGLE,
+    "verify-trace": "verify-trace {trace} {bad} {one} " + ON_TRIANGLE,
+    "group-dist": "group-dist {bad} {all} {all}",
+    "extend-mc-domain":
+        "extend-mc {bad} {good} {one} --alpha {id} --beta {id} --point c",
+    "extend-mc-range":
+        "extend-mc {good} {bad} {one} --alpha {id} --beta {id} --point p",
+}
+
+
+@pytest.mark.parametrize("template", NOT_METRIC.values(), ids=list(NOT_METRIC))
+def test_cli_refuses_a_space_that_is_not_metric(tmp_path, capsys, template):
+    files = {
+        "one": "pair a a\n", "all": "pair a a\npair b b\npair c c\n",
+        "good": "points 2\nlabels a p\nrow 0 1\nrow 1 0\n",
+        "trace": "step 1 side=d interval=[5/2,17/5] e=59/20 s=1/2 point=q1\n"
+                 "step 1 side=r interval=[5/2,17/5] e=59/20 s=3/8 point=q2\n"
+                 "step 2 side=r interval=[1/4,1/2] e=3/8 s=3/8 point=q2\n"}
+    paths = {name: tmp_path / name for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    bad = DATA / "triangle-violation.ums"
+    out = tmp_path / "report.txt"
+    argv = template.format(bad=bad, id=DATA / "identity.mc", **paths).split()
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: {bad} is not a metric space: "
+                            "violation triangle a b c : 3 > 1 + 1\n")
+
+
 def test_cli_extend_mc(tmp_path, capsys):
     sx = tmp_path / "x.ums"
     sx.write_text("points 2\nlabels x0 p\nrow 0 1\nrow 1 0\n")

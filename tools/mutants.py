@@ -166,10 +166,34 @@ MUTANTS = {
         "mc_extend.py",
         'require_modulus(gamma, "gamma")\n    bad = delta.validate()',
         "bad = delta.validate()"),
-    # amalgamate's check that both input files are metric spaces
+    # each command's check that its space files are metric spaces
     "amalgamate_input_unchecked": (
-        "cli.py", "for path, space in ((args.space0, x0), (args.space1, x1)):",
-        "for path, space in ():"),
+        "cli.py",
+        "x0 = _load_metric_space(args.space0)\n"
+        "    x1 = _load_metric_space(args.space1)",
+        "x0 = _load_space(args.space0)\n    x1 = _load_space(args.space1)"),
+    "extension_space_unchecked": (
+        "cli.py",
+        "space = _load_metric_space(args.space)\n    fmap = io.parse_map(",
+        "space = _load_space(args.space)\n    fmap = io.parse_map("),
+    "mc_domain_unchecked": (
+        "cli.py", "dom = _load_metric_space(args.space_x)",
+        "dom = _load_space(args.space_x)"),
+    "mc_range_unchecked": (
+        "cli.py", "rng_space = _load_metric_space(args.space_y)",
+        "rng_space = _load_space(args.space_y)"),
+    "group_space_unchecked": (
+        "cli.py", "space = _load_metric_space(args.space)\n    base = (",
+        "space = _load_space(args.space)\n    base = ("),
+    # the integer decisions of PLFunction's construction pass and report
+    "knot_order_strict": (
+        "moduli.py", "if q <= 0:", "if q < 0:"),
+    "concavity_tie": (
+        "moduli.py", "if k and p1 * q0 > p0 * q1:",
+        "if k and p1 * q0 >= p0 * q1:"),
+    "slope_pair_factor": (
+        "moduli.py", "(vn1 * vd0 - vn0 * vd1) * td0 * td1",
+        "(vn1 * vd0 - vn0 * vd1) * td0 * td0"),
 }
 
 
