@@ -178,11 +178,11 @@ def random_outside_points(rng: random.Random, space: FiniteMetricSpace,
     return space
 
 
-def random_permutation_map(rng: random.Random, space: FiniteMetricSpace,
-                           basepoint: int = 0) -> AutoMap:
+def random_permutation_map(rng: random.Random,
+                           space: FiniteMetricSpace) -> AutoMap:
     images = list(range(space.n))
     rng.shuffle(images)
-    return AutoMap(space, tuple(images), basepoint)
+    return AutoMap(space, tuple(images))
 
 
 # an int numerator over den as a Fraction, built once per grid value

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .bilip import ExtensionTrace, TraceLine
 from .core import FiniteMetricSpace, PartialMap
-from .errors import ParseError
+from .errors import ParseError, StructuralError
 from .moduli import PLFunction
 
 
@@ -95,7 +95,7 @@ def parse_map(text: str, src: FiniteMetricSpace,
         try:
             domain.append(src.index(toks[1]))
             images.append(dst.index(toks[2]))
-        except Exception as exc:
+        except StructuralError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return PartialMap(tuple(domain), tuple(images))
 
@@ -132,7 +132,7 @@ def parse_modulus(text: str) -> PLFunction:
         raise ParseError("need at least one 'bp' line and a 'tail' line")
     try:
         return PLFunction(tuple(points), tail)
-    except Exception as exc:
+    except StructuralError as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -345,13 +345,14 @@ def separation_witness(gamma: PLFunction, delta: MCSemigroup,
                        depth: int) -> SeparationWitness:
     """A finite map (2*gamma)-bicontinuous but beating every generator near 0.
 
-    Starting from a one-point space {x}, realizes points x_j -> x at chosen
-    small scales t and partner points y_j with d(y_j, x) = gamma(t), all
-    spaced additively through x, so both certificates are exact:
-    d(y_j, x) > delta_i(d(x_j, x)) at each chosen scale, while the map
-    x_j -> y_j, x -> x stays (2*gamma)-bicontinuous on every pair.  Requires
-    gamma to exceed each generator on arbitrarily small arguments, which for
-    PL data is a first-slope comparison.
+    The space is the star metric d(a, b) = r_a + r_b on x (r = 0) and, for
+    each chosen small scale t in descending order, x_j (r = t) and y_j
+    (r = gamma(t)), labeled x, q1, q2, ...: every point hangs off x alone.
+    Both certificates are exact: d(y_j, x) > delta_i(d(x_j, x)) at each
+    chosen scale, while the map x_j -> y_j, x -> x stays
+    (2*gamma)-bicontinuous on every pair.  Requires gamma to exceed each
+    generator on arbitrarily small arguments, which for PL data is a
+    first-slope comparison.
     """
     require_modulus(gamma, "gamma")
     bad = delta.validate()
@@ -365,8 +366,6 @@ def separation_witness(gamma: PLFunction, delta: MCSemigroup,
                 raise PreconditionError(
                     f"gamma is dominated near 0 by generator {i} "
                     f"(slope {gamma.first_slope} <= {gen.first_slope})")
-    space = FiniteMetricSpace.from_rows(("x",), ((0,),))
-    base = 0
 
     def first_knot(fn: PLFunction) -> Optional[Fraction]:
         return fn.breakpoints[1][0] if len(fn.breakpoints) > 1 else None
@@ -380,18 +379,18 @@ def separation_witness(gamma: PLFunction, delta: MCSemigroup,
         for j in range(1, depth + 1):
             chosen.setdefault(top / 2 ** j, []).append(i)
 
-    checks: list[ScaleCheck] = []
-    dom_idx, img_idx = [base], [base]
-    for t in sorted(chosen, reverse=True):
-        space, xj = realize_point(space, {base: t})
-        space, yj = realize_point(space, {base: gamma.value(t)})
-        dom_idx.append(xj)
-        img_idx.append(yj)
-        for i in chosen[t]:
-            checks.append(ScaleCheck(i, t, gamma.value(t),
-                                     delta.generators[i].value(t)))
-
-    fmap = PartialMap(tuple(dom_idx), tuple(img_idx))
+    scales = sorted(chosen, reverse=True)
+    checks = [ScaleCheck(i, t, gamma.value(t), delta.generators[i].value(t))
+              for t in scales for i in chosen[t]]
+    radii = [Fraction(0)] + [r for t in scales for r in (t, gamma.value(t))]
+    n = len(radii)
+    # each distance is built once, and both of its entries hold it
+    rows = [[ra + rb for rb in radii[:a]] + [0] for a, ra in enumerate(radii)]
+    for a, row in enumerate(rows):
+        row += [rows[b][a] for b in range(a + 1, n)]
+    space = FiniteMetricSpace.from_rows(
+        ("x",) + tuple(f"q{k}" for k in range(1, n)), rows)
+    fmap = PartialMap((0,) + tuple(range(1, n, 2)), tuple(range(0, n, 2)))
     two_gamma = gamma.scale(2)
     violations = bicontinuity_violations(fmap, space, space, two_gamma,
                                          two_gamma)

@@ -9,16 +9,18 @@ import math
 import random
 from fractions import Fraction
 from fractions import Fraction as F
-from typing import Sequence
+from typing import Optional, Sequence
 
 from urylab.amalgam import katetov_extend, realize_point
 from urylab.bilip import KNParams
-from urylab.core import (Ball, FiniteMetricSpace, ValidationReport, Violation,
-                         rat)
+from urylab.core import (Ball, FiniteMetricSpace, PartialMap, ValidationReport,
+                         Violation, rat)
 from urylab.errors import (DegenerateInputError, PreconditionError,
                            StructuralError, as_text)
 from urylab.gen import rand_fraction
-from urylab.moduli import PLFunction, is_modulus
+from urylab.mc_extend import (ScaleCheck, SeparationWitness,
+                              WitnessCertificate, bicontinuity_violations)
+from urylab.moduli import MCSemigroup, PLFunction, is_modulus, require_modulus
 
 
 def feasible_e(space, ball, K, N, pairs, x, prior_e, m, candidate):
@@ -176,14 +178,13 @@ def rand_fraction_reference(rng, lo, hi, den=16):
     return F(rng.randint(a, b), den)
 
 
-def random_space_rows(rng, n, scale=4, den=8):
+def random_space_rows(rng, n, den=8):
     """random_space's rows by the Fraction triple loop: the same draws,
     closed pair by pair in Fractions."""
-    scale = F(scale)
     d = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = rand_fraction_reference(rng, scale / den, scale, den)
+            w = rand_fraction_reference(rng, F(4, den), 4, den)
             d[i][j] = d[j][i] = w
     for k in range(n):
         for i in range(n):
@@ -193,15 +194,15 @@ def random_space_rows(rng, n, scale=4, den=8):
     return d
 
 
-def random_modulus_reference(rng, pieces=3, den=8, slope_hi=4):
+def random_modulus_reference(rng, pieces=3):
     """random_modulus drawn through rand_fraction and summed in Fractions."""
     k = rng.randint(1, pieces)
-    slopes = sorted((rand_fraction_reference(rng, F(1, den), slope_hi, den)
+    slopes = sorted((rand_fraction_reference(rng, F(1, 8), 4, 8)
                      for _ in range(k + 1)), reverse=True)
     pts = [(F(0), F(0))]
     t = v = F(0)
     for s in slopes[:-1]:
-        width = rand_fraction_reference(rng, F(1, den), 2, den)
+        width = rand_fraction_reference(rng, F(1, 8), 2, 8)
         t += width
         v += s * width
         pts.append((t, v))
@@ -421,7 +422,8 @@ def random_point_in_ball_reference(rng: random.Random, space: FiniteMetricSpace,
 
 # gen.rand_fraction and gen.random_space before the closure moved onto the
 # draw grid: the weights are drawn as Fractions, then scaled to ints over q,
-# the lcm of their denominators.  Kept as they were, but for the names.
+# the lcm of their denominators.  Kept as they were, but for the names and
+# random_space_reference's scale, fixed at 4 as random_space fixes it.
 def rand_fraction_floor_reference(rng: random.Random, lo, hi,
                                   den: int = 16) -> Fraction:
     """Uniform-ish rational in [lo, hi] with denominator dividing den.
@@ -436,17 +438,16 @@ def rand_fraction_floor_reference(rng: random.Random, lo, hi,
     return Fraction(rng.randint(a, b), den)
 
 
-def random_space_reference(rng: random.Random, n: int, scale=4,
+def random_space_reference(rng: random.Random, n: int,
                            den: int = 8) -> FiniteMetricSpace:
     """Shortest-path closure of a random complete weighted graph.
 
     The closure runs on ints over q, the lcm of the weights' denominators.
     """
-    scale = rat(scale)
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = rand_fraction_floor_reference(rng, scale / den, scale, den)
+            w = rand_fraction_floor_reference(rng, Fraction(4, den), 4, den)
             d[i][j] = d[j][i] = w
     q = math.lcm(*(v.denominator for row in d for v in row))
     d = [[v.numerator * (q // v.denominator) for v in row] for row in d]
@@ -506,3 +507,66 @@ def certify_new_row_reference(space: FiniteMetricSpace, ball: Ball,
             raise PreconditionError(
                 f"new point at distance {e[0]} from the center leaves the "
                 f"ball")
+
+
+# mc_extend.separation_witness before it wrote its star space in closed
+# form: each point is realized from x, one realize_point call at a time.
+# Kept as it was, but for the name.
+def separation_witness_reference(gamma: PLFunction, delta: MCSemigroup,
+                                 depth: int) -> SeparationWitness:
+    """A finite map (2*gamma)-bicontinuous but beating every generator near 0.
+
+    Starting from a one-point space {x}, realizes points x_j -> x at chosen
+    small scales t and partner points y_j with d(y_j, x) = gamma(t), all
+    spaced additively through x, so both certificates are exact:
+    d(y_j, x) > delta_i(d(x_j, x)) at each chosen scale, while the map
+    x_j -> y_j, x -> x stays (2*gamma)-bicontinuous on every pair.  Requires
+    gamma to exceed each generator on arbitrarily small arguments, which for
+    PL data is a first-slope comparison.
+    """
+    require_modulus(gamma, "gamma")
+    bad = delta.validate()
+    if bad:
+        raise PreconditionError(f"invalid generating set: {bad[0]}")
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    for i, gen in enumerate(delta.generators):
+        if gamma.first_slope <= gen.first_slope:
+            with as_text():
+                raise PreconditionError(
+                    f"gamma is dominated near 0 by generator {i} "
+                    f"(slope {gamma.first_slope} <= {gen.first_slope})")
+    space = FiniteMetricSpace.from_rows(("x",), ((0,),))
+    base = 0
+
+    def first_knot(fn: PLFunction) -> Optional[Fraction]:
+        return fn.breakpoints[1][0] if len(fn.breakpoints) > 1 else None
+
+    # scale -> generators certified at that scale
+    chosen: dict[Fraction, list[int]] = {}
+    for i, gen in enumerate(delta.generators):
+        knots = [k for k in (first_knot(gamma), first_knot(gen))
+                 if k is not None]
+        top = min(knots) if knots else Fraction(1)
+        for j in range(1, depth + 1):
+            chosen.setdefault(top / 2 ** j, []).append(i)
+
+    checks: list[ScaleCheck] = []
+    dom_idx, img_idx = [base], [base]
+    for t in sorted(chosen, reverse=True):
+        space, xj = realize_point(space, {base: t})
+        space, yj = realize_point(space, {base: gamma.value(t)})
+        dom_idx.append(xj)
+        img_idx.append(yj)
+        for i in chosen[t]:
+            checks.append(ScaleCheck(i, t, gamma.value(t),
+                                     delta.generators[i].value(t)))
+
+    fmap = PartialMap(tuple(dom_idx), tuple(img_idx))
+    two_gamma = gamma.scale(2)
+    violations = bicontinuity_violations(fmap, space, space, two_gamma,
+                                         two_gamma)
+    cert = WitnessCertificate(tuple(checks), not violations,
+                              len(fmap) * (len(fmap) - 1) // 2)
+    assert cert.ok or depth == 0
+    return SeparationWitness(fmap, space, cert)

@@ -102,8 +102,8 @@ def test_dist_S_sorted_pass_matches_the_radius_scan():
         space = FiniteMetricSpace.from_rows(
             drawn.labels, [[c * v for v in row] for row in drawn.dist])
         base = rng.randrange(n)
-        f = random_permutation_map(rng, space, base)
-        g = random_permutation_map(rng, space, base)
+        f, g = (AutoMap(space, random_permutation_map(rng, space).images, base)
+                for _ in range(2))
         assert dist_S(f, g) == stabilized_scan(f, g)
 
 

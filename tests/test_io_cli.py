@@ -19,8 +19,8 @@ from urylab import bilip, cli, gen, io
 from urylab.amalgam import POLICIES
 from urylab.bilip import Ball, extend_dense, kn_admissible
 from urylab.cli import main, verify_trace_lines
-from urylab.core import PartialMap
-from urylab.errors import ParseError
+from urylab.core import FiniteMetricSpace, PartialMap
+from urylab.errors import ParseError, UnreportableError
 from urylab.gen import random_compliant_instance, random_point_in_ball, \
     random_space
 from urylab.moduli import PLFunction
@@ -857,6 +857,33 @@ def test_cli_failure_text_past_the_digit_limit_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: Exceeds the limit")
+
+
+def _unreportable(*args):
+    raise UnreportableError("Exceeds the limit")
+
+
+def test_cli_modulus_failure_other_than_its_shape_keeps_its_exit_code(
+        monkeypatch, capsys):
+    # only a StructuralError of the breakpoints is a parse error (exit 3)
+    monkeypatch.setattr(io, "PLFunction", _unreportable)
+    identity = str(DATA / "identity.mc")
+    assert main(["counterexample", "--alpha", identity, "--beta", identity,
+                 "--s", "1", "--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Exceeds the limit\n"
+
+
+def test_parse_map_turns_only_a_missing_label_into_a_parse_error():
+    class Space:
+        index = staticmethod(_unreportable)
+
+    with pytest.raises(UnreportableError, match="^Exceeds the limit$"):
+        io.parse_map("pair a b\n", Space())
+    with pytest.raises(ParseError, match="^line 1: no point labeled 'a'$"):
+        io.parse_map("pair a b\n",
+                     FiniteMetricSpace.from_rows(("b",), ((0,),)))
 
 
 def test_cli_pair_text_past_the_digit_limit_exits_2(tmp_path, capsys):

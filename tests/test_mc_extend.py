@@ -17,8 +17,10 @@ from urylab.amalgam import realize_point
 from urylab.core import Ball
 from urylab.errors import UnreportableError
 from urylab.gen import line_space, random_bicontinuous_instance, \
-    random_point_in_ball
+    random_modulus, random_point_in_ball
 from urylab.mc_extend import bicontinuity_violations, require_bicontinuous
+
+from oracle_utils import separation_witness_reference
 
 KINKED = PLFunction.from_points([(0, 0), (1, 1)], F(1, 2))
 
@@ -379,3 +381,50 @@ def test_separation_witness_dominated_rejected():
     delta = MCSemigroup((linear(2), GAMMA))
     with pytest.raises(PreconditionError):
         separation_witness(GAMMA, delta, 2)
+
+
+def _witness_or_refusal(build, gamma, delta, depth):
+    try:
+        return build(gamma, delta, depth)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_separation_witness_equals_the_realize_point_chain():
+    rng = random.Random(31)
+    witnesses = 0
+    for _ in range(300):
+        gamma = random_modulus(rng)
+        delta = MCSemigroup(tuple(random_modulus(rng)
+                                  for _ in range(rng.randint(1, 3))))
+        depth = rng.randint(0, 12)
+        got = _witness_or_refusal(separation_witness, gamma, delta, depth)
+        want = _witness_or_refusal(separation_witness_reference, gamma,
+                                   delta, depth)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        witnesses += 1
+        assert got.space.labels == want.space.labels
+        assert got.space.dist == want.space.dist
+        assert all(type(v) is F for row in got.space.dist for v in row)
+        assert got.map == want.map
+        assert got.certificate == want.certificate
+    assert witnesses >= 40
+
+
+def test_separation_witness_realizes_no_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("realize_point called")
+    monkeypatch.setattr(mc_extend, "realize_point", refuse)
+    delta = MCSemigroup(tuple(linear(i) for i in range(1, 11)))
+    w = separation_witness(GAMMA, delta, 3)
+    assert w.certificate.ok
+    space = w.space
+    assert space.labels == ("x",) + tuple(f"q{k}" for k in range(1, space.n))
+    # the star metric: every point hangs off x
+    for a in range(1, space.n):
+        for b in range(1, space.n):
+            if a != b:
+                assert space.d(a, b) == space.d(a, 0) + space.d(0, b)

@@ -194,6 +194,10 @@ MUTANTS = {
     "slope_pair_factor": (
         "moduli.py", "(vn1 * vd0 - vn0 * vd1) * td0 * td1",
         "(vn1 * vd0 - vn0 * vd1) * td0 * td0"),
+    # the separation witness's star space, written in closed form
+    "witness_radii_swapped": (
+        "mc_extend.py", "for r in (t, gamma.value(t))]",
+        "for r in (gamma.value(t), t)]"),
 }
 
 
