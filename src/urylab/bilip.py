@@ -13,9 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .amalgam import Chooser, Policy, _katetov_fill, chooser, realize_point
 from .core import (Ball, FiniteMetricSpace, GoodnessReport, PartialMap,
@@ -77,15 +76,15 @@ def is_compliant(f: PartialMap, ball: Ball, kn: KNParams,
 Bound = tuple[str, Fraction, Fraction]  # (family, lower, upper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveRecord:
     """Feasibility verdict for one unknown distance e_m.
 
     ``lo``/``hi`` are the tightest lower/upper bounds, ``lo_family`` and
     ``hi_family`` the constraint families that set them, and ``chosen``
     lies inside.  The individual bounds are not stored: ``lowers`` and
-    ``uppers`` re-derive them, in the solver's order, from the solve's own
-    workspace and its chosen e_1..e_{m-1}.
+    ``uppers`` re-derive them, in the solver's order, from the latest
+    workspace of the solve's run and its chosen e_1..e_{m-1}.
     """
 
     m: int
@@ -94,7 +93,20 @@ class SolveRecord:
     lo_family: str
     hi_family: str
     chosen: Fraction
-    bounds: Callable[[], list[Bound]] = field(compare=False, repr=False)
+    _held: tuple = field(compare=False, repr=False)
+
+    def bounds(self) -> list[Bound]:
+        """Every bound on e_m as (family, lower, upper), IE1 first.
+
+        ``_held`` is the solve's context less K*d_j, which is rebuilt from
+        d_j here, and with a holder of its run's latest workspace in place
+        of the solve's own.  A run only appends points, so each of its
+        workspaces is the leading block of the latest one, which reads the
+        same d(y_m, y_j).
+        """
+        latest, K, N, r, ys, dv, sv, cap_d, e = self._held
+        return _bounds((latest[0], K, N, r, ys, dv, sv, [K * d for d in dv],
+                        cap_d, e), self.m - 1)
 
     @property
     def lowers(self) -> tuple[tuple[str, Fraction], ...]:
@@ -105,7 +117,7 @@ class SolveRecord:
         return tuple((fam, hi) for fam, _, hi in self.bounds())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceLine:
     """One solved distance of a trace: the record a trace file line holds.
 
@@ -196,7 +208,7 @@ def _bounds(ctx: tuple, m: int) -> list[Bound]:
 
 def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                          pairs: Sequence[tuple[int, int]], x: int,
-                         choose: Chooser,
+                         choose: Chooser, latest: list[FiniteMetricSpace],
                          ) -> tuple[list[Fraction], Fraction, list[SolveRecord]]:
     """Solve for the new point's distances e_1..e_n to the existing range.
 
@@ -224,7 +236,8 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
     Returns the chosen vector, the distance s for the new pair, and per-m
     records of each interval's verdict.  ``choose(lo, hi)`` picks each e_m;
     a choice outside [lo, hi] raises.  Each record re-derives its bounds
-    from the returned vector, which must not be mutated.
+    from the returned vector, which must not be mutated, and from
+    ``latest[0]``, which must stay ``space`` or a workspace grown from it.
     """
     K, N, r = kn.K, kn.N, ball.radius
     n = len(pairs)
@@ -236,6 +249,7 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
     cap_d = (r - dv[0]) / N               # (r - d_1)/N, fixed for the run
     e: list[Fraction] = []
     ctx = (space, K, N, r, ys, dv, sv, Kd, cap_d, e)
+    held = (latest, K, N, r, ys, dv, sv, cap_d, e)
     records: list[SolveRecord] = []
     for m in range(n):
         bounds = _bounds(ctx, m)
@@ -254,7 +268,7 @@ def _solve_new_distances(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
                 raise InfeasibleError(
                     f"chosen e_{m + 1} = {chosen} outside [{lo}, {hi}]")
         records.append(SolveRecord(m + 1, lo, hi, lo_family, hi_family,
-                                   chosen, partial(_bounds, ctx, m)))
+                                   chosen, held))
         e.append(chosen)
     cap_e = (r - e[0]) / N                # (r - e_1)/N
     s = min(min(e[i] + sv[i] for i in range(n)), cap_d, cap_e)
@@ -308,7 +322,7 @@ def extend_one_point(f: PartialMap, ball: Ball, kn: KNParams, x: int,
     if side not in ("domain", "range"):
         raise PreconditionError(f"side must be 'domain' or 'range', got {side!r}")
     _certify_seed(f, ball, kn, space)
-    return _extend_step(f, ball, kn, x, side, space, choose)
+    return _extend_step(f, ball, kn, x, side, space, choose, [space])
 
 
 def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
@@ -368,12 +382,15 @@ def _certify_new_row(space: FiniteMetricSpace, ball: Ball, kn: KNParams,
 
 def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
                  space: FiniteMetricSpace, choose: Chooser,
+                 latest: list[FiniteMetricSpace],
                  ) -> tuple[PartialMap, FiniteMetricSpace, ExtensionStep]:
     """``extend_one_point`` for a map already certified compliant.
 
     The caller vouches for f by :func:`_certify_seed`.  Only the new row is
     proved, by :func:`_certify_new_row`, so the output is certified too and
-    a run of steps needs a single full certificate, of its first map.
+    a run of steps needs a single full certificate, of its first map.  The
+    step's records read ``latest[0]``, a holder the caller may point at
+    any workspace later grown from ``space``.
     """
     if not ball.strictly_inside(space, x):
         raise PreconditionError(
@@ -384,7 +401,8 @@ def _extend_step(f: PartialMap, ball: Ball, kn: KNParams, x: int, side: str,
 
     center = ball.center
     pairs = [(center, center)] + [p for p in work.pairs() if p[0] != center]
-    e, s, records = _solve_new_distances(space, ball, kn, pairs, x, choose)
+    e, s, records = _solve_new_distances(space, ball, kn, pairs, x, choose,
+                                         latest)
     _certify_new_row(space, ball, kn, pairs, x, e, s)
     values: dict[int, Fraction] = {yi: ei for (_, yi), ei in zip(pairs, e)}
     values[x] = s
@@ -404,11 +422,18 @@ def _back_and_forth(f: PartialMap, ball: Ball, kn: KNParams,
                     choose: Chooser,
                     ) -> Iterator[tuple[PartialMap, FiniteMetricSpace,
                                         ExtensionStep]]:
-    """Certify f once, then yield (map, space, step) per target and side."""
+    """Certify f once, then yield (map, space, step) per target and side.
+
+    Every step's records share one holder, advanced to each new workspace,
+    so a held trace pins the run's latest workspace only.
+    """
     _certify_seed(f, ball, kn, space)
+    latest = [space]
     for x in targets:
         for side in ("domain", "range"):
-            f, space, step = _extend_step(f, ball, kn, x, side, space, choose)
+            f, space, step = _extend_step(f, ball, kn, x, side, space, choose,
+                                          latest)
+            latest[0] = space
             yield f, space, step
 
 

@@ -21,7 +21,7 @@ from .core import (FiniteMetricSpace, PartialMap, min_sum, rat, split,
 from .errors import PreconditionError, as_text
 from .groupmetric import AutoMap, dist_L, dist_S
 from .mc_extend import extend_one_point_mc
-from .moduli import PLFunction, compatible, is_modulus, linear
+from .moduli import PLFunction, compatible, is_modulus
 
 
 def _grid_ends(lo: tuple[int, int], hi: tuple[int, int],

@@ -1,7 +1,9 @@
 """Admissibility, the one-point compliant extension solver, and the
 explicit constructions built on it."""
 
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -392,7 +394,7 @@ def _big_steps(rng, count):
         work = f if rng.random() < 0.5 else f.inverse()
         pairs = center_first_pairs(work, ball.center)
         e, s, _ = bilip._solve_new_distances(
-            space, ball, kn, pairs, x, chooser(rng.choice(POLICIES)))
+            space, ball, kn, pairs, x, chooser(rng.choice(POLICIES)), [space])
         yield space, ball, kn, pairs, x, e, s
 
 
@@ -621,6 +623,63 @@ def test_extend_dense_preserves_compliance_and_condition_g():
             assert x in f.domain and x in f.images
         assert is_compliant(f, ball, kn, space).ok
         assert validate_space(space).ok
+
+
+def _instance_with_targets(rng, grow, count):
+    space, f, ball, kn = random_compliant_instance(rng, grow=grow)
+    targets = []
+    for _ in range(count):
+        space, x = random_point_in_ball(rng, space, ball)
+        targets.append(x)
+    return space, f, ball, kn, targets
+
+
+def _rederived(step):
+    return [(rec.lowers, rec.uppers) for rec in step.solves]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_records_rederive_the_same_bounds_as_the_run_grows(policy):
+    # every record of a run reads the run's latest workspace; its bounds
+    # must equal those read as the step ends, and a lone step's, which
+    # reads the step's own workspace
+    rng = random.Random(33)
+    for _ in range(3):
+        space, f, ball, kn, targets = _instance_with_targets(rng, 1, 6)
+        steps, at_step = [], []
+        prev_f, prev_space = f, space
+        for f, space, step in bilip._back_and_forth(
+                f, ball, kn, targets, space, chooser(policy)):
+            steps.append(step)
+            at_step.append(_rederived(step))
+            _, _, lone = extend_one_point(prev_f, ball, kn, step.target,
+                                          step.side, prev_space, policy)
+            assert _rederived(lone) == at_step[-1]
+            prev_f, prev_space = f, space
+        assert sum(len(step.solves) for step in steps) >= 40
+        assert [_rederived(step) for step in steps] == at_step
+
+
+def test_a_held_trace_pins_no_workspace_but_the_last():
+    # a run's records share its latest workspace; a record that kept the
+    # workspace it was solved in would hold about 40 matrices here
+    rng = random.Random(5)
+    space, f, ball, kn, targets = _instance_with_targets(rng, 1, 20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = extend_dense(f, ball, kn, targets, space)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        final_map, final_space, trace = result
+        del result, trace
+        gc.collect()
+        final = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert final_space.n == 63 and len(final_map) == 42
+    assert held <= 3.5 * final, (held, final)
 
 
 def _compliant_or_refused(f, ball, kn, space):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracle_utils import validate_space_reference
+import urylab
 from urylab import io
 from urylab import (Ball, DegenerateInputError, FiniteMetricSpace, PartialMap,
                     PreconditionError, StructuralError, goodness_check,
@@ -35,6 +36,26 @@ def test_core_imports_nothing_but_errors():
         found += [name for name in names
                   if name.startswith(".") or name.split(".")[0] == "urylab"]
     assert found and set(found) == {".errors"}, found
+
+
+def test_every_module_uses_each_name_it_imports():
+    # an import nothing reads is dead code; the package's own re-exports,
+    # listed in __all__, are the only names imported to be read elsewhere
+    src = Path(__file__).resolve().parent.parent / "src" / "urylab"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(urylab.__all__)
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unused
 
 
 @pytest.mark.parametrize("value", ["1/2", 0.5])

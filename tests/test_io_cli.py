@@ -565,6 +565,21 @@ def test_cli_witness(tmp_path, capsys):
     assert "exceeds=true" in out and "bicontinuity(2*gamma) ok=true" in out
 
 
+def test_cli_witness_past_the_point_cap_exits_2(tmp_path, capsys):
+    # depth 600 with one generator would build 1 + 2*600 = 1201 points
+    gamma = tmp_path / "gamma.mc"
+    gamma.write_text("mc\nbp 0 0\ntail 4\n")
+    d2 = tmp_path / "d2.mc"
+    d2.write_text("mc\nbp 0 0\ntail 2\n")
+    out = tmp_path / "report.txt"
+    rc = run_cli(tmp_path, "witness", "--gamma", gamma, "--delta", d2,
+                 "--depth", "600", "--out", out)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == ("error: a witness of depth 600 needs more than "
+                            "513 points\n")
+
+
 def assert_parse_error(rc, capsys):
     err = capsys.readouterr().err
     assert rc == 3 and err.startswith("parse error:")

@@ -357,6 +357,14 @@ def test_separation_witness_certificate():
         assert c.gamma_value > c.generator_value
     assert validate_space(w.space).ok
     assert w.map.image_of(0) == 0
+    # each check reads its scale t = d(x_j, x) and gamma(t) = d(y_j, x)
+    # off the space, over the map's pairs in order
+    read = [(w.space.d(xj, 0), w.space.d(yj, 0))
+            for xj, yj in w.map.pairs()[1:]]
+    assert [(c.t, c.gamma_value) for c in cert.scale_checks] == [
+        pair for pair in read for _ in range(10)]
+    for t, g in read:
+        assert g == GAMMA.value(t)
 
 
 def test_separation_witness_depth_zero():
@@ -375,6 +383,29 @@ def test_separation_witness_rejects_its_preconditions(delta, depth, text):
     with pytest.raises(PreconditionError) as exc:
         separation_witness(GAMMA, delta, depth)
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("gens, depth, points", [
+    ((linear(2),), 256, 513),
+    ((linear(2),), 257, None),
+    ((linear(2),), 10 ** 30, None),
+    # two generators at tops 1 and 1/3 choose disjoint scales
+    ((linear(2), PLFunction.from_points([(F(0), F(0)), (F(1, 3), F(1))],
+                                        F(1))), 128, 513),
+    ((linear(2), PLFunction.from_points([(F(0), F(0)), (F(1, 3), F(1))],
+                                        F(1))), 129, None),
+], ids=["one-at-cap", "one-past-cap", "one-huge", "two-at-cap",
+        "two-past-cap"])
+def test_separation_witness_point_cap(gens, depth, points):
+    gamma = PLFunction.from_points([(F(0), F(0))], F(4))
+    if points is None:
+        with pytest.raises(PreconditionError) as exc:
+            separation_witness(gamma, MCSemigroup(gens), depth)
+        assert str(exc.value) == (f"a witness of depth {depth} needs more "
+                                  f"than 513 points")
+        return
+    w = separation_witness(gamma, MCSemigroup(gens), depth)
+    assert w.space.n == points and w.certificate.ok
 
 
 def test_separation_witness_dominated_rejected():

@@ -198,6 +198,15 @@ MUTANTS = {
     "witness_radii_swapped": (
         "mc_extend.py", "for r in (t, gamma.value(t))]",
         "for r in (gamma.value(t), t)]"),
+    # the holder a run's records share: each step given its own holder
+    # (test_a_held_trace_pins_no_workspace_but_the_last owns it), and the
+    # holder left at the run's first workspace
+    # (test_records_rederive_the_same_bounds_as_the_run_grows owns it)
+    "holder_per_step": (
+        "bilip.py", "latest)\n            latest[0] = space",
+        "[space])\n            latest[0] = space"),
+    "holder_not_advanced": (
+        "bilip.py", "            latest[0] = space\n", ""),
 }
 
 
