@@ -34,7 +34,7 @@ def rat(value: Rational) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteMetricSpace:
     """A labeled point set with a symmetric exact-rational distance matrix.
 
@@ -229,7 +229,7 @@ def validate_space(space: FiniteMetricSpace) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ball:
     """An open ball: center point index and positive radius."""
 
@@ -245,7 +245,7 @@ class Ball:
         return space.d(self.center, i) < self.radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialMap:
     """A finite injective partial map, given by parallel index tuples.
 

@@ -63,8 +63,9 @@ def random_space(rng: random.Random, n: int,
 
     Each weight is ``rand_fraction(rng, 4/den, 4, den)``, drawn as its int
     numerator in [4, 4*den] over den.  The closure runs on those ints, and
-    each Fraction is built once at the end.  A den < 1 raises
-    PreconditionError before any draw.
+    at the end one Fraction is built per distinct value, shared by every
+    entry that holds it.  A den < 1 raises PreconditionError before any
+    draw.
     """
     if den < 1:
         raise PreconditionError(f"den must be at least 1, got {den}")
@@ -77,9 +78,9 @@ def random_space(rng: random.Random, n: int,
             di, dk = d[i], d[k]
             dik = di[k]
             d[i] = [x if x <= (c := dik + y) else c for x, y in zip(di, dk)]
+    over = {v: Fraction(v, den) for v in set().union(*d)}
     return FiniteMetricSpace.from_rows(
-        tuple(f"p{i}" for i in range(n)),
-        [[Fraction(v, den) for v in row] for row in d])
+        tuple(f"p{i}" for i in range(n)), [[over[v] for v in row] for row in d])
 
 
 _SIXTEENTH = Fraction(1, 16)

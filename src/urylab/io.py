@@ -37,12 +37,23 @@ def _natural(token: str) -> Optional[int]:
         return None
 
 
-def _rationals(lineno: int, tokens) -> list[Fraction]:
-    """parse_rational on each token; a bad one's error names its line."""
-    try:
-        return [parse_rational(t) for t in tokens]
-    except ParseError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
+def _rationals(lineno: int, tokens, memo: dict[str, Fraction]
+               ) -> list[Fraction]:
+    """parse_rational on each token; a bad one's error names its line.
+
+    ``memo`` holds every token read so far in one parse, so a repeated
+    token is read once and its Fraction shared.
+    """
+    out = []
+    for t in tokens:
+        value = memo.get(t)
+        if value is None:
+            try:
+                value = memo[t] = parse_rational(t)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+        out.append(value)
+    return out
 
 
 def _lines(text: str):
@@ -58,6 +69,7 @@ def parse_space(text: str) -> FiniteMetricSpace:
     n: Optional[int] = None
     labels: Optional[tuple[str, ...]] = None
     rows: list[list[Fraction]] = []
+    memo: dict[str, Fraction] = {}
     for lineno, toks in _lines(text):
         key = toks[0]
         if key == "points":
@@ -67,7 +79,7 @@ def parse_space(text: str) -> FiniteMetricSpace:
         elif key == "labels":
             labels = tuple(toks[1:])
         elif key == "row":
-            rows.append(_rationals(lineno, toks[1:]))
+            rows.append(_rationals(lineno, toks[1:], memo))
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
     if n is None or labels is None:
@@ -112,18 +124,19 @@ def parse_modulus(text: str) -> PLFunction:
     saw_header = False
     points: list[tuple[Fraction, Fraction]] = []
     tail: Optional[Fraction] = None
+    memo: dict[str, Fraction] = {}
     for lineno, toks in _lines(text):
         if toks[0] == "mc":
             saw_header = True
         elif toks[0] == "bp":
             if len(toks) != 3:
                 raise ParseError(f"line {lineno}: expected 'bp <t> <v>'")
-            t, v = _rationals(lineno, toks[1:])
+            t, v = _rationals(lineno, toks[1:], memo)
             points.append((t, v))
         elif toks[0] == "tail":
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: expected 'tail <slope>'")
-            tail, = _rationals(lineno, toks[1:])
+            tail, = _rationals(lineno, toks[1:], memo)
         else:
             raise ParseError(f"line {lineno}: unknown directive {toks[0]!r}")
     if not saw_header:
@@ -155,8 +168,14 @@ def format_trace(trace: ExtensionTrace) -> str:
 
 
 def parse_trace(text: str) -> list[TraceLine]:
-    """Match each step line, fields split on whitespace, to TraceLine.PATTERN."""
+    """Match each step line, fields split on whitespace, to TraceLine.PATTERN.
+
+    Each distinct rational token, and each point label, is read once per
+    call, and every line that repeats it shares the one object.
+    """
     lines: list[TraceLine] = []
+    memo: dict[str, Fraction] = {}
+    labels: dict[str, str] = {}
     for lineno, toks in _lines(text):
         match = TraceLine.PATTERN.fullmatch(" ".join(toks))
         m = _natural(match[1]) if match else None
@@ -164,6 +183,7 @@ def parse_trace(text: str) -> list[TraceLine]:
             raise ParseError(
                 f"line {lineno}: expected 'step <m> side=<d|r> "
                 f"interval=[<lo>,<hi>] e=<e> s=<s> point=<label>'")
-        lo, hi, e, s = _rationals(lineno, match.group(3, 4, 5, 6))
-        lines.append(TraceLine(m, match[2], lo, hi, e, s, match[7]))
+        lo, hi, e, s = _rationals(lineno, match.group(3, 4, 5, 6), memo)
+        point = labels.setdefault(match[7], match[7])
+        lines.append(TraceLine(m, match[2], lo, hi, e, s, point))
     return lines

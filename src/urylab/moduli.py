@@ -8,9 +8,8 @@ curved moduli (roots, powers) are admitted only through PL interpolants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
@@ -18,7 +17,22 @@ from .core import Rational, rat
 from .errors import PreconditionError, StructuralError, as_text
 
 
-@dataclass(frozen=True)
+def _faults(pairs: Sequence[tuple[int, int]]
+            ) -> tuple[list[int], list[int]]:
+    """Indices of the nonpositive slope pairs (p <= 0), and of each pair
+    that rises past the one before (p1 * q0 > p0 * q1), the tail included.
+    """
+    nonpositive, rising = [], []
+    for k, (p1, q1) in enumerate(pairs):
+        if p1 <= 0:
+            nonpositive.append(k)
+        if k and p1 * q0 > p0 * q1:
+            rising.append(k)
+        p0, q0 = p1, q1
+    return nonpositive, rising
+
+
+@dataclass(frozen=True, slots=True)
 class PLFunction:
     """Increasing piecewise-linear function on [0, oo).
 
@@ -27,23 +41,51 @@ class PLFunction:
     class is shared by moduli and their (convex) inverses; concavity is a
     property checked by :func:`modulus_validate`, not a structural invariant.
 
-    Construction splits each breakpoint into integers once and, in the same
-    pass that checks the knot order, builds ``_slope_pairs``: each piece's
-    slope as an unreduced integer pair (p, q), the tail last.  Piece k's
-    pair is (v1 - v0) * td0 * td1 over (t1 - t0) * vd0 * vd1, with the
-    numerators and denominators of its two breakpoints.  The knots
-    increase, so q > 0: p carries the slope's sign, two slopes compare by
-    one cross product, and Fraction(p, q) is the slope.
+    Construction runs :meth:`_slope_pairs` once, which checks the knot
+    order, and :func:`_faults` on its pairs, and keeps only whether the
+    function is a modulus.  The integer line table :attr:`_lines` is built
+    from the same pairs at the first evaluation; the inverse, and an
+    invalid function's report, are built when first asked for.  None of
+    the three takes part in ``==``, ``hash`` or ``repr``.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
     final_slope: Fraction
+    _valid: bool = field(init=False, repr=False, compare=False)
+    _lines: Optional[tuple[tuple[int, int, int, int, int], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _inverse: Optional[PLFunction] = field(
+        default=None, init=False, repr=False, compare=False)
+    _report: Optional[tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.breakpoints:
             raise StructuralError("need at least one breakpoint")
-        # each breakpoint split once into (tn, td, vn, vd); t0 < t1 is read
-        # on integers as q = tn1 * td0 - tn0 * td1 > 0 (denominators are > 0)
+        pts, pairs = self._slope_pairs()
+        nonpositive, rising = _faults(pairs)
+        # the first breakpoint is the origin when both numerators are 0
+        object.__setattr__(self, "_valid", not (
+            pts[0][0] or pts[0][2] or nonpositive or rising))
+
+    @classmethod
+    def from_points(cls, points: Sequence[tuple[Rational, Rational]],
+                    final_slope: Rational) -> "PLFunction":
+        return cls(tuple((rat(t), rat(v)) for t, v in points),
+                   rat(final_slope))
+
+    def _slope_pairs(self) -> tuple[list[tuple[int, int, int, int]],
+                                    list[tuple[int, int]]]:
+        """Each breakpoint split into integers (tn, td, vn, vd), and each
+        piece's slope as an unreduced integer pair (p, q), the tail last.
+
+        Piece k's pair is (v1 - v0) * td0 * td1 over (t1 - t0) * vd0 * vd1,
+        with the numerators and denominators of its two breakpoints.  The
+        knots must increase, read on integers as q = tn1 * td0 - tn0 * td1
+        > 0 (denominators are > 0), so p carries the slope's sign, two
+        slopes compare by one cross product, and Fraction(p, q) is the
+        slope.  This is the one place the pairs are formed.
+        """
         pts = [t.as_integer_ratio() + v.as_integer_ratio()
                for t, v in self.breakpoints]
         pairs = []
@@ -55,71 +97,56 @@ class PLFunction:
             pairs.append(((vn1 * vd0 - vn0 * vd1) * td0 * td1,
                           q * vd0 * vd1))
         pairs.append(self.final_slope.as_integer_ratio())
-        object.__setattr__(self, "_slope_pairs", tuple(pairs))
+        return pts, pairs
 
-    @classmethod
-    def from_points(cls, points: Sequence[tuple[Rational, Rational]],
-                    final_slope: Rational) -> "PLFunction":
-        return cls(tuple((rat(t), rat(v)) for t, v in points),
-                   rat(final_slope))
+    def _build_report(self) -> tuple[str, ...]:
+        """The report of an invalid function, kept on it once built.
 
-    @cached_property
-    def _modulus_report(self) -> tuple[str, ...]:
-        """The report of :func:`modulus_validate`; a frozen object keeps it.
-
-        Decided on integers alone: the first breakpoint by its numerators,
-        and every slope in one pass over :attr:`_slope_pairs`, where a
-        slope is nonpositive when p <= 0 and rises past the one before
-        when p1 * q0 > p0 * q1.  A Fraction is built only to name a
-        failing slope.
+        A Fraction is built only to name a failing slope.
         """
+        _, pairs = self._slope_pairs()
+        nonpositive, rising = _faults(pairs)
         out = []
         t0, v0 = self.breakpoints[0]
         if t0 or v0:                    # each numerator tested against 0
             with as_text():
                 out.append(f"first breakpoint is ({t0}, {v0}), not (0, 0)")
-        slopes = self._slope_pairs
-        nonpositive, rising = [], []
-        for k, (p1, q1) in enumerate(slopes):
-            if p1 <= 0:
-                nonpositive.append(k)
-            if k and p1 * q0 > p0 * q1:
-                rising.append(k)
-            p0, q0 = p1, q1
         # the values strictly increase exactly when every finite piece rises
-        if nonpositive and nonpositive[0] < len(slopes) - 1:
+        if nonpositive and nonpositive[0] < len(pairs) - 1:
             out.append("values are not strictly increasing")
         if nonpositive or rising:
             with as_text():
-                out += [f"nonpositive slope {Fraction(*slopes[k])} "
+                out += [f"nonpositive slope {Fraction(*pairs[k])} "
                         f"on piece {k}" for k in nonpositive]
                 out += [f"concavity violated between pieces {k - 1} and {k}: "
-                        f"slope rises {Fraction(*slopes[k - 1])} -> "
-                        f"{Fraction(*slopes[k])}" for k in rising]
-        return tuple(out)
+                        f"slope rises {Fraction(*pairs[k - 1])} -> "
+                        f"{Fraction(*pairs[k])}" for k in rising]
+        report = tuple(out)
+        object.__setattr__(self, "_report", report)
+        return report
 
-    @cached_property
-    def _lines(self) -> tuple[tuple[int, int, int, int, int], ...]:
+    def _build_lines(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """Each segment's knot and line on integers, the tail last.
 
         Segment k is (kn, kd, A, B, C): its knot kn/kd, and its line
         f(t) = (A*tn + B*td) / (C*td) at t = tn/td.  With the slope p/q
-        (the :attr:`_slope_pairs` entry reduced by its gcd) and the
-        intercept v0 - slope*t0 = (vn*q*td - p*tn*vd) / (vd*q*td) reduced
-        to r/s, A = p*s, B = r*q and C = q*s, so each product joins two
-        normalized numbers and no lcm, and no Fraction, is formed.
+        (the piece's slope pair reduced by its gcd) and the intercept
+        v0 - slope*t0 = (vn*q*td - p*tn*vd) / (vd*q*td) reduced to r/s,
+        A = p*s, B = r*q and C = q*s, so each product joins two normalized
+        numbers and no lcm, and no Fraction, is formed.  A's sign is the
+        slope's, and A/C is the slope.
         """
         out = []
-        for (t0, v0), (p, q) in zip(self.breakpoints, self._slope_pairs):
+        for (tn, td, vn, vd), (p, q) in zip(*self._slope_pairs()):
             g = gcd(p, q)
             p, q = p // g, q // g
-            tn, td = t0.as_integer_ratio()
-            vn, vd = v0.as_integer_ratio()
             r, s = vn * q * td - p * tn * vd, vd * q * td
             g = gcd(r, s)
             r, s = r // g, s // g
             out.append((tn, td, p * s, r * q, q * s))
-        return tuple(out)
+        lines = tuple(out)
+        object.__setattr__(self, "_lines", lines)
+        return lines
 
     def value(self, t: Rational) -> Fraction:
         """The function at t >= 0, read on the integer line table.
@@ -132,7 +159,7 @@ class PLFunction:
         if tn < 0:
             raise PreconditionError("moduli are defined on [0, oo)")
         # t < kn/kd is read on integers as tn*kd < kn*td (denominators > 0)
-        lines = self._lines
+        lines = self._lines or self._build_lines()
         lo, hi = 1, len(lines)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -146,11 +173,13 @@ class PLFunction:
 
     def slopes(self) -> tuple[Fraction, ...]:
         """Segment slopes in order, the tail slope last."""
-        return tuple(Fraction(p, q) for p, q in self._slope_pairs)
+        lines = self._lines or self._build_lines()
+        return tuple(Fraction(a, c) for _, _, a, _, c in lines)
 
     @property
     def first_slope(self) -> Fraction:
-        return Fraction(*self._slope_pairs[0])
+        _, _, a, _, c = (self._lines or self._build_lines())[0]
+        return Fraction(a, c)
 
     @property
     def last_knot(self) -> Fraction:
@@ -160,15 +189,21 @@ class PLFunction:
         return tuple(t for t, _ in self.breakpoints)
 
     def inverse(self) -> "PLFunction":
-        """Exact inverse; the inverse of a concave modulus is convex."""
-        return self._inverse
+        """Exact inverse; the inverse of a concave modulus is convex.
 
-    @cached_property
-    def _inverse(self) -> "PLFunction":
-        if any(p <= 0 for p, _ in self._slope_pairs):
-            raise PreconditionError("only strictly increasing PL maps invert")
-        return PLFunction(tuple((v, t) for t, v in self.breakpoints),
-                          1 / self.final_slope)
+        Built once and kept on the function.  Every slope must be positive,
+        read as each line's A > 0.
+        """
+        inv = self._inverse
+        if inv is None:
+            lines = self._lines or self._build_lines()
+            if any(a <= 0 for _, _, a, _, _ in lines):
+                raise PreconditionError(
+                    "only strictly increasing PL maps invert")
+            inv = PLFunction(tuple((v, t) for t, v in self.breakpoints),
+                             1 / self.final_slope)
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def compose(self, inner: "PLFunction") -> "PLFunction":
         """self after inner, as an exact PL function.
@@ -206,14 +241,15 @@ def modulus_validate(f: PLFunction) -> tuple[str, ...]:
 
     A modulus starts at (0, 0), strictly increases with positive slopes, and
     is concave: slopes nonincreasing, tail slope no larger than the last
-    interior slope.  Concavity with f(0) = 0 yields subadditivity.  The
-    report is computed once per object and cached on it.
+    interior slope.  Concavity with f(0) = 0 yields subadditivity.
+    Validity is decided when f is built; only an invalid f's report is
+    formatted, once, and kept on it.
     """
-    return f._modulus_report
+    return () if f._valid else f._report or f._build_report()
 
 
 def is_modulus(f: PLFunction) -> bool:
-    return not modulus_validate(f)
+    return f._valid
 
 
 def require_modulus(f: PLFunction, name: str = "modulus") -> None:

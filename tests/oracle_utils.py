@@ -284,10 +284,13 @@ def lines_reference(f):
     """PLFunction._lines by Fraction arithmetic: each segment's knot and its
     line (A, B, C) with f(t) = (A*tn + B*td) / (C*td), from the normalized
     slope p/q and intercept v0 - slope*t0 = r/s as A = p*s, B = r*q and
-    C = q*s."""
+    C = q*s.  Each slope is (v1 - v0) / (t1 - t0) on the breakpoints, and
+    final_slope on the tail."""
+    pts = f.breakpoints
+    slopes = [(v1 - v0) / (t1 - t0)
+              for (t0, v0), (t1, v1) in zip(pts, pts[1:])] + [f.final_slope]
     out = []
-    for (t0, v0), pair in zip(f.breakpoints, f._slope_pairs):
-        slope = Fraction(*pair)
+    for (t0, v0), slope in zip(pts, slopes):
         p, q = slope.as_integer_ratio()
         r, s = (v0 - slope * t0).as_integer_ratio()
         out.append((*t0.as_integer_ratio(), p * s, r * q, q * s))

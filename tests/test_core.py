@@ -13,8 +13,8 @@ from oracle_utils import validate_space_reference
 import urylab
 from urylab import io
 from urylab import (Ball, DegenerateInputError, FiniteMetricSpace, PartialMap,
-                    PreconditionError, StructuralError, goodness_check,
-                    lip_constant, rat, validate_space)
+                    PLFunction, PreconditionError, StructuralError,
+                    goodness_check, lip_constant, rat, validate_space)
 from urylab.errors import UnreportableError
 from urylab.gen import random_space
 
@@ -78,6 +78,14 @@ def brute_force_metric_check(dist):
         if dist[i][k] > dist[i][j] + dist[j][k]:
             return False
     return True
+
+
+def test_the_value_types_keep_no_instance_dict():
+    values = (FiniteMetricSpace.from_rows(("a", "b"), [[0, 1], [1, 0]]),
+              PartialMap((0,), (1,)), Ball(0, F(1)),
+              PLFunction.from_points([(0, 0), (1, 2)], 1))
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
 
 
 def test_one_point_space_is_valid():

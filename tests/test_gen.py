@@ -35,6 +35,13 @@ def test_random_space_matches_the_fraction_closure(den):
             assert validate_space(space).ok
 
 
+def test_random_space_shares_one_fraction_per_distinct_value():
+    space = random_space(random.Random(7), 40)
+    entries = [v for row in space.dist for v in row]
+    # 1,600 entries hold a few dozen values, each one object
+    assert len({id(v) for v in entries}) == len(set(entries)) < 40
+
+
 @pytest.mark.parametrize("kw, text", [
     ({"den": 0}, "den must be at least 1, got 0"),
     ({"den": -8}, "den must be at least 1, got -8"),

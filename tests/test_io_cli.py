@@ -1,12 +1,14 @@
 """Text formats, round trips, CLI exit codes, and trace verification."""
 
 import contextlib
+import gc
 import os
 import random
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 from io import StringIO
@@ -129,6 +131,70 @@ def test_cli_huge_radius_token_is_short_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3 and err.startswith("parse error:")
     assert len(err) < 200
+
+
+def _seeded_trace(seed, count, policy="midpoint"):
+    """The trace text and step lines of one extend_dense run: a criterion-03
+    instance with ``count`` targets drawn in its ball."""
+    rng = random.Random(seed)
+    space, f, ball, kn = random_compliant_instance(rng, grow=0)
+    targets = []
+    for _ in range(count):
+        space, x = random_point_in_ball(rng, space, ball)
+        targets.append(x)
+    _, _, trace = extend_dense(f, ball, kn, targets, space, policy)
+    return (io.format_trace(trace),
+            [ln for step in trace.steps for ln in step.lines()])
+
+
+def _trace_line_reference(line):
+    """A step line read field by field, each rational by Fraction(str)."""
+    m, side, interval, e, s, point = line.split()[1:]
+    lo, hi = interval[len("interval=["):-1].split(",")
+    return io.TraceLine(int(m), side[len("side="):], F(lo), F(hi),
+                        F(e[len("e="):]), F(s[len("s="):]),
+                        point[len("point="):])
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_parse_trace_reads_each_token_and_label_once(policy):
+    for seed in range(3):
+        text, steps = _seeded_trace(seed, 3, policy)
+        lines = io.parse_trace(text)
+        assert lines == steps == [_trace_line_reference(ln) for ln in
+                                  text.splitlines() if ln.startswith("step")]
+        values = [x for ln in lines for x in (ln.lo, ln.hi, ln.e, ln.s)]
+        assert len({id(x) for x in values}) == len({str(x) for x in values})
+        assert (len({id(ln.point) for ln in lines})
+                == len({ln.point for ln in lines}))
+
+
+def test_parse_trace_names_the_line_of_each_bad_token():
+    good = "step 1 side=d interval=[0,1] e=1/2 s=1/2 point=q1"
+    bad = "step 2 side=r interval=[0,1/0] e=1/2 s=1/2 point=q1"
+    for text, lineno in ((f"{bad}\n{good}", 1), (f"{good}\n{bad}", 2),
+                         (f"{good}\n# note\n{good}\n{bad}", 4)):
+        with pytest.raises(ParseError) as exc:
+            io.parse_trace(text)
+        assert str(exc.value) == (
+            f"line {lineno}: bad rational '1/0': expected [-]p[/q]")
+
+
+def test_a_parsed_trace_holds_each_repeated_token_once():
+    # a 20-target run's 820 lines: 267-277 KiB held on Python 3.10-3.13,
+    # and 436-454 KiB with a Fraction and a label string per field
+    text, _ = _seeded_trace(7, 20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lines = io.parse_trace(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(lines) >= 600
+    assert held < 340 * 1024, held
 
 
 def test_trace_replay_lives_in_bilip():

@@ -1,6 +1,8 @@
 """Piecewise-linear modulus algebra, the germ order, and compatibility."""
 
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -207,6 +209,65 @@ def test_modulus_requires_origin():
         modulus_inverse(shifted)
 
 
+def _no_report(self):
+    raise AssertionError("a report was formatted")
+
+
+def test_a_valid_modulus_is_decided_without_report_text(monkeypatch):
+    monkeypatch.setattr(PLFunction, "_build_report", _no_report)
+    rng = random.Random(61)
+    fresh = [PLFunction(f.breakpoints, f.final_slope)
+             for f in (KINKED, linear(3), STEEP_THEN_FLAT)]
+    for f in fresh + [random_modulus(rng, rng.randint(1, 16))
+                      for _ in range(40)]:
+        assert is_modulus(f) and modulus_validate(f) == ()
+        require_modulus(f)
+        # neither a report nor the line table was built to decide it
+        assert f._report is None and f._lines is None
+
+
+@pytest.mark.parametrize("points, tail", [
+    ([(1, 0), (2, 1)], F(1, 2)),            # first knot off the origin
+    ([(0, 1), (1, 2)], F(1, 2)),            # first value off the origin
+    ([(0, 0), (1, 2)], F(2001, 1000)),      # only the tail slope rises
+    ([(0, 0), (1, 2), (2, 3)], F(0)),       # only the tail slope is 0
+], ids=["knot", "value", "tail-rises", "tail-flat"])
+def test_construction_decides_validity_at_the_origin_and_the_tail(points,
+                                                                  tail):
+    f = PLFunction.from_points(points, tail)
+    assert not is_modulus(f)
+    assert f._report is None                # is_modulus formats nothing
+    report = modulus_validate(f)
+    assert report == modulus_report_reference(f) != ()
+    assert f._report is report
+
+
+def test_moduli_and_their_inverses_hold_one_table_each():
+    # each evaluated PLFunction keeps one integer table and no instance
+    # dict: 500 draws and their inverses hold 1.9-2.0 MiB on Python
+    # 3.10-3.13, against 3.2-3.3 MiB with a second table and a dict each
+    def draw():
+        rng = random.Random(7)
+        ms = [random_modulus(rng, 16) for _ in range(500)]
+        for m in ms:
+            m.value(F(1, 3))
+            m.inverse().value(F(1, 3))
+        return ms
+
+    draw()                  # gen's shared grid Fractions are built here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = draw()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 500
+    assert held < 2600 * 1024, held
+
+
 def _probes(f):
     """Every knot, every midpoint between knots, and two tail points."""
     knots = f.knot_abscissas()
@@ -365,6 +426,7 @@ def test_lines_match_the_fraction_reference():
     family = [f for _ in range(60) for f in _lines_family(rng)]
     seen = Counter()
     for f in family + list(through_origin):
+        f.value(0)                  # the table is built at first evaluation
         lines = f._lines
         assert lines == lines_reference(f)
         for t in _probes(f):

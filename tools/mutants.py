@@ -185,7 +185,9 @@ MUTANTS = {
     "group_space_unchecked": (
         "cli.py", "space = _load_metric_space(args.space)\n    base = (",
         "space = _load_space(args.space)\n    base = ("),
-    # the integer decisions of PLFunction's construction pass and report
+    # PLFunction's slope pairs, formed in _slope_pairs and compared in
+    # _faults: the one copy that construction, the report and the line
+    # table read
     "knot_order_strict": (
         "moduli.py", "if q <= 0:", "if q < 0:"),
     "concavity_tie": (
@@ -194,6 +196,15 @@ MUTANTS = {
     "slope_pair_factor": (
         "moduli.py", "(vn1 * vd0 - vn0 * vd1) * td0 * td1",
         "(vn1 * vd0 - vn0 * vd1) * td0 * td0"),
+    # the validity construction decides: the origin test dropped, and the
+    # tail pair skipped (test_construction_decides_validity_at_the_origin_
+    # and_the_tail owns both)
+    "validity_origin_dropped": (
+        "moduli.py", "pts[0][0] or pts[0][2] or nonpositive or rising",
+        "nonpositive or rising"),
+    "validity_tail_skipped": (
+        "moduli.py", "for k, (p1, q1) in enumerate(pairs):",
+        "for k, (p1, q1) in enumerate(pairs[:-1]):"),
     # the separation witness's star space, written in closed form
     "witness_radii_swapped": (
         "mc_extend.py", "for r in (t, gamma.value(t))]",
